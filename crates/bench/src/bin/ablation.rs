@@ -269,8 +269,6 @@ fn main() {
         "scatter (s)",
         "blocks",
         "slab ovf",
-        "cycles",
-        "swap flush",
         "scratch (B)",
     ]);
     for dist in scatter_dists {
@@ -315,8 +313,6 @@ fn main() {
                     format!("{:.3}", stats.t_scatter.as_secs_f64()),
                     stats.blocks_flushed.to_string(),
                     stats.slab_overflows.to_string(),
-                    stats.inplace_cycles.to_string(),
-                    stats.swap_buffer_flushes.to_string(),
                     stats.scratch_bytes_held.to_string(),
                 ]);
             }

@@ -79,12 +79,12 @@ pub enum ScatterStrategy {
     /// Buckets whose reserved slab fills fall back to CAS placement in a
     /// tail region. See `blocked_scatter`.
     Blocked,
-    /// Arena-free permutation: a counting pass computes exact bucket
-    /// boundaries inside the output buffer, then workers claim hole ranges
-    /// from per-bucket region cursors (`fetch_add`) and move records
-    /// through small per-bucket swap buffers until every region holds only
-    /// its own records. No slot array, no probing, no Las Vegas overflow —
-    /// scratch is O(buckets + workers·swap_buffer) instead of O(n·α).
+    /// Arena-free stable counting scatter: a counting pass computes exact
+    /// bucket boundaries and per-chunk write offsets, then every chunk
+    /// writes its records in input order straight to their final slots in
+    /// the output buffer. No slot array, no probing, no atomics, no Las
+    /// Vegas overflow — scratch is O(buckets · workers) instead of O(n·α),
+    /// and the output does not depend on the thread count or schedule.
     /// See `inplace_scatter`.
     InPlace,
 }
@@ -101,7 +101,6 @@ pub enum ScatterStrategy {
 /// | `block`             |      –      |     ✓     |     –     |
 /// | `tail_log2`         |      –      |     ✓     |     –     |
 /// | `prefetch_distance` |      ✓      |     ✓     |     –     |
-/// | `swap_buffer`       |      –      |     –     |     ✓     |
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ScatterConfig {
     /// Which Phase 3 implementation to run; default the paper's
@@ -120,11 +119,6 @@ pub struct ScatterConfig {
     /// cache line; default 8, `0` disables prefetching. Capped at 64 —
     /// beyond that the lines fall out of the fill buffers before use.
     pub prefetch_distance: usize,
-    /// Records per per-bucket swap buffer in the in-place scatter: a
-    /// worker batches this many displaced records per destination bucket
-    /// before claiming a hole range to flush them into; default 32. Must
-    /// be a power of two in `1..=4096`.
-    pub swap_buffer: usize,
 }
 
 impl Default for ScatterConfig {
@@ -134,7 +128,6 @@ impl Default for ScatterConfig {
             block: 32,
             tail_log2: 3,
             prefetch_distance: 8,
-            swap_buffer: 32,
         }
     }
 }
@@ -182,8 +175,8 @@ pub struct SemisortConfig {
     /// Collision handling in the scatter; default linear probing.
     pub probe_strategy: ProbeStrategy,
     /// Phase 3 backend and its tuning knobs — strategy, block width,
-    /// CAS-tail exponent, prefetch distance, in-place swap-buffer size —
-    /// grouped in one validated sub-struct (see [`ScatterConfig`]).
+    /// CAS-tail exponent, prefetch distance — grouped in one validated
+    /// sub-struct (see [`ScatterConfig`]).
     ///
     /// This replaces the former flat `scatter_strategy` / `scatter_block` /
     /// `blocked_tail_log2` fields; the builder keeps `#[deprecated]`
@@ -366,12 +359,6 @@ impl SemisortConfig {
             self.scatter.prefetch_distance <= 64,
             "scatter.prefetch_distance must be <= 64 (0 disables)",
         )?;
-        check(
-            self.scatter.swap_buffer >= 1
-                && self.scatter.swap_buffer <= 4096
-                && self.scatter.swap_buffer.is_power_of_two(),
-            "scatter.swap_buffer must be a power of two in 1..=4096",
-        )?;
         // α grows as 2^attempt across retries; 32 doublings already
         // overflows any conceivable arena budget, and an unbounded retry
         // count turns a hash-flooded input into unbounded memory growth.
@@ -540,7 +527,6 @@ mod tests {
         assert_eq!(c.scatter.block, 32);
         assert_eq!(c.scatter.tail_log2, 3);
         assert_eq!(c.scatter.prefetch_distance, 8);
-        assert_eq!(c.scatter.swap_buffer, 32);
         assert_eq!(c.telemetry, TelemetryLevel::Off);
         c.validate();
     }
@@ -572,30 +558,6 @@ mod tests {
         .is_err());
         assert!(from(ScatterConfig {
             prefetch_distance: 0,
-            ..Default::default()
-        })
-        .try_validate()
-        .is_ok());
-        assert!(from(ScatterConfig {
-            swap_buffer: 0,
-            ..Default::default()
-        })
-        .try_validate()
-        .is_err());
-        assert!(from(ScatterConfig {
-            swap_buffer: 3,
-            ..Default::default()
-        })
-        .try_validate()
-        .is_err());
-        assert!(from(ScatterConfig {
-            swap_buffer: 8192,
-            ..Default::default()
-        })
-        .try_validate()
-        .is_err());
-        assert!(from(ScatterConfig {
-            swap_buffer: 1,
             ..Default::default()
         })
         .try_validate()

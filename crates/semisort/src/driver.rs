@@ -296,11 +296,7 @@ fn run_pooled<V: Copy + Send + Sync>(
         // estimate goes through the same gate so the budget policy and its
         // fault tests behave uniformly across strategies.
         let required = if in_place {
-            inplace_bytes::<V>(
-                &plan,
-                rayon::current_num_threads().max(1),
-                run_cfg.scatter.swap_buffer,
-            )
+            inplace_bytes(&plan, rayon::current_num_threads().max(1))
         } else {
             arena_bytes::<V>(&plan)
         };
@@ -398,17 +394,7 @@ fn run_pooled<V: Copy + Send + Sync>(
                 (o.heavy_records, o.overflowed, o.overflow)
             }
             ScatterStrategy::InPlace => {
-                let o = inplace_scatter(
-                    records,
-                    &plan,
-                    out,
-                    run_cfg.scatter.swap_buffer,
-                    &sink,
-                    forced_overflow,
-                    inplace,
-                );
-                stats.inplace_cycles = o.cycles;
-                stats.swap_buffer_flushes = o.flushes;
+                let o = inplace_scatter(records, &plan, out, &sink, forced_overflow, inplace);
                 // The in-place path never touches the arena, so fold its
                 // scratch fate into the pool counters here.
                 if o.grew {
@@ -421,13 +407,6 @@ fn run_pooled<V: Copy + Send + Sync>(
         };
         stats.t_scatter = span.finish_into(&mut stats.spans);
         if overflowed {
-            // The in-place scatter wrote (a copy) into `out` before the
-            // injected overflow bailed; clear it so every later exit path
-            // (cancellation, escalation) keeps the all-or-nothing output
-            // contract.
-            if in_place {
-                out.clear();
-            }
             attempt += 1;
             stats.retries = attempt;
             // Record *why* (cold path — every telemetry level keeps this:
@@ -812,9 +791,10 @@ mod tests {
             .collect();
         let stats = check(&recs, &cfg);
         assert_eq!(stats.heavy_records + stats.light_records, recs.len());
-        assert!(stats.inplace_cycles > 0, "permutation must claim positions");
         assert_eq!(stats.blocks_flushed, 0, "no slab machinery runs in-place");
         assert_eq!(stats.retries, 0, "exact counting cannot overflow");
+        // Retired cycle-following counters: kept in the stats, always 0.
+        assert_eq!((stats.inplace_cycles, stats.swap_buffer_flushes), (0, 0));
     }
 
     #[test]
@@ -829,30 +809,29 @@ mod tests {
     }
 
     #[test]
-    fn inplace_tiny_swap_buffer_still_correct() {
-        // A 1-record swap buffer degenerates to pure cycle-following with a
-        // flush per displacement — maximum strand/reconcile pressure.
-        let cfg = SemisortConfig {
-            scatter: ScatterConfig {
-                strategy: ScatterStrategy::InPlace,
-                swap_buffer: 1,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let recs: Vec<(u64, u64)> = (0..80_000u64).map(|i| (hash64(i % 700), i)).collect();
+    fn inplace_just_above_seq_threshold() {
+        // The smallest input that reaches the bucket machinery: two
+        // counting chunks, the second holding a single record, with three
+        // heavy keys and a sparse light tail.
+        let cfg = with_strategy(ScatterStrategy::InPlace);
+        let n = cfg.seq_threshold as u64 + 1;
+        let recs: Vec<(u64, u64)> = (0..n)
+            .map(|i| (hash64(if i % 4 == 0 { i } else { i % 3 }), i))
+            .collect();
         let stats = check(&recs, &cfg);
-        assert!(stats.swap_buffer_flushes > 0);
+        assert!(stats.heavy_keys > 0, "the three hot keys must go heavy");
+        assert_eq!(stats.heavy_records + stats.light_records, recs.len());
     }
 
     #[test]
     fn inplace_all_equal_keys_is_a_fixed_point() {
-        // One heavy key ⇒ every record is already in its (only) bucket; the
-        // fixed-point skip should leave the permutation with zero work.
+        // One heavy key ⇒ one region spanning the whole output; the stable
+        // scatter reproduces the input exactly.
         let cfg = with_strategy(ScatterStrategy::InPlace);
         let recs: Vec<(u64, u64)> = (0..80_000u64).map(|i| (hash64(7), i)).collect();
-        let stats = check(&recs, &cfg);
+        let (out, stats) = try_semisort_with_stats(&recs, &cfg).unwrap();
         assert_eq!(stats.heavy_records, recs.len());
+        assert_eq!(out, recs);
     }
 
     #[test]

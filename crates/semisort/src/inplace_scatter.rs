@@ -1,62 +1,41 @@
-//! Phase 3 (in-place variant): permute records into their bucket regions
-//! without the scatter arena.
+//! Phase 3 (arena-free variant): a stable counting scatter straight into
+//! the output buffer.
 //!
 //! The CAS and blocked scatters trade memory for simplicity: both write
 //! through a slot array of `α · n` slots (~70 MB at n = 10⁶ for
 //! `(u64, u64)` records), which the pack phase then compacts. This module
-//! instead computes **exact** bucket boundaries with a counting pass and
-//! permutes the records *within the output buffer itself*, in the style of
-//! in-place parallel shuffling / IPS⁴o-like block permutation (see
-//! PAPERS.md, arXiv 2302.03317): scratch drops to
-//! O(buckets + workers · swap_buffer).
+//! instead computes **exact** bucket boundaries and writes every record
+//! once, directly from the input to its final slot — the paper's §2
+//! blocked stable counting sort over bucket ids, the same counting-based
+//! distribution the 2023 semisort uses (PAPERS.md, arXiv 2304.10078).
+//! Scratch is one `num_chunks × num_buckets` count matrix plus the region
+//! bounds: O(buckets · workers), no slot array, no probing.
 //!
-//! # The cursor-claim protocol
+//! # The algorithm
 //!
-//! After the counting pass, bucket `b` owns the region
-//! `[starts[b], starts[b+1])` of the output buffer and an atomic claim
-//! cursor `heads[b]` (initialized to `starts[b]`). The only shared-memory
-//! operation in the whole permutation is
-//! `heads[b].fetch_add(k)` (clamped to the region end): it hands the
-//! calling worker *exclusive* ownership of `k` fresh positions. Claimed
-//! positions are read once (displacing the records that sat there),
-//! written once (with records that belong to `b`), and never touched
-//! again. Because `fetch_add` ranges are disjoint and no data flows
-//! through the cursors themselves, `Relaxed` ordering suffices — the
-//! fork/join edges of the parallel loop publish everything else
-//! (`tests/race_model.rs` holds the loom model of exactly this argument).
+//! 1. **Count.** The input is cut into `num_chunks` contiguous chunks
+//!    (about two per worker). Chunk `ci` counts its records per bucket
+//!    into its own row `counts[ci]` of the pooled matrix, in parallel,
+//!    with no shared writes.
+//! 2. **Offsets.** One serial pass, bucket-outer and chunk-inner, turns
+//!    the counts into an exclusive prefix sum: cell `counts[ci][b]`
+//!    becomes the first output index chunk `ci` writes in bucket `b`, and
+//!    `starts[b]` the first index of bucket `b`'s region. Regions follow
+//!    bucket order (heavy, then light) and partition `[0, n)` exactly.
+//! 3. **Replay.** Each chunk re-reads its records in input order and
+//!    writes each one to `counts[ci][b]`, bumping the cell. The cells of
+//!    different chunks cover disjoint index ranges, so the parallel writes
+//!    never alias, and one `set_len(n)` publishes the filled buffer.
 //!
-//! Each worker runs a prime/flush/strand loop:
-//!
-//! - **prime**: claim up to `swap_buffer` positions from some unexhausted
-//!   bucket `b`. Displaced records that already belong to `b` are left in
-//!   place (fixed points are free — an all-equal-keys input permutes with
-//!   zero writes); the rest are read in-hand and their positions become
-//!   the worker's **private holes** in `b`, tracked as per-bucket linked
-//!   lists of ranges.
-//! - **classify**: in-hand records are pushed into per-destination-bucket
-//!   swap buffers (the same sparse-slab `WorkerScratch` structure the
-//!   blocked scatter uses, so memory scales with *touched* buckets).
-//! - **flush**: a full buffer for bucket `d` first repays the worker's
-//!   private `d`-holes (write-only), then claims fresh `d` positions
-//!   (swap: read the displaced record in-hand, write the buffered one).
-//!   In-hand count never grows during a flush, so the loop cannot run
-//!   away.
-//! - **strand**: if `d`'s region is exhausted and no private holes
-//!   remain, the leftover buffered records are stranded — their holes
-//!   belong to *other* workers.
-//!
-//! When every cursor is exhausted the workers drain their partial buffers
-//! (repay-or-strand) and join. A short sequential **reconciliation** then
-//! fills the surviving holes from the stranded records: per bucket,
-//! `unfilled holes == stranded records` by conservation (every position is
-//! claimed exactly once, read exactly once, written exactly once; every
-//! record is read exactly once and written exactly once).
+//! Within a region, chunk `ci`'s records precede chunk `ci + 1`'s and keep
+//! their input order inside the chunk, so the scatter is **stable**: the
+//! output is a deterministic function of the input, independent of the
+//! thread count and the schedule. No atomics are involved — the fork/join
+//! edges of the two parallel passes order everything.
 //!
 //! Unlike the arena scatters this phase cannot overflow — the counting
 //! pass is exact — so the Las Vegas retry machinery only ever triggers
 //! here under fault injection.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rayon::prelude::*;
 
@@ -65,18 +44,14 @@ use crate::config::LocalSortAlgo;
 use crate::fault::FaultClass;
 use crate::local_sort::sort_records;
 use crate::obs::{ObsSink, OverflowCapture, WorkerCell};
-use crate::pool::{HoleRange, InPlaceScratch, InPlaceWorker, HOLES_EMPTY, HOLES_NONE};
+use crate::pool::InPlaceScratch;
 
 /// Below this many records the counting pass runs as a single chunk.
 const MIN_CHUNK: usize = 8192;
 
-/// One counting-pass work item: a private matrix row plus the record chunk
-/// that fills it.
+/// One chunk's work item: its private matrix row (counts, then write
+/// offsets) plus its records.
 type CountRow<'a, V> = (&'a mut [usize], &'a [(u64, V)]);
-
-/// What one worker hands back: its stranded records, cycle count and swap
-/// buffer flush count.
-type WorkerYield<V> = (Vec<(u64, V)>, usize, usize);
 
 /// What [`inplace_scatter`] reports back to the driver.
 #[derive(Debug, Default)]
@@ -88,26 +63,21 @@ pub struct InPlaceOutcome {
     pub overflowed: bool,
     /// `(bucket, allocated, observed)` for the injected overflow.
     pub overflow: Option<(u32, usize, usize)>,
-    /// Prime claims issued — each starts one displacement chain (the
-    /// in-place analogue of following a permutation cycle).
-    pub cycles: usize,
-    /// Swap-buffer flushes (full slabs plus end-of-run partial drains).
-    pub flushes: usize,
     /// True when `InPlaceScratch::prepare` had to allocate (cold pool or
     /// a larger run); false when the pooled buffers were big enough — the
     /// driver folds this into the scratch reuse/grow counters.
     pub grew: bool,
 }
 
-/// A raw view of the output buffer that workers write through.
+/// A raw view of the output buffer's spare capacity that the replay pass
+/// writes through.
 ///
-/// Plain `Copy` wrapper so the parallel closures can capture it by value;
-/// all dereferences go through the unsafe [`SharedOut::read`] /
-/// [`SharedOut::write`], whose safety rests on the cursor-claim protocol
-/// (each index is owned by exactly one worker at a time).
+/// Plain `Copy` wrapper so the parallel closure can capture it by value;
+/// every dereference goes through the unsafe [`SharedOut::write`], whose
+/// safety rests on the offsets partitioning `[0, n)` across chunks.
 struct SharedOut<V> {
     ptr: *mut (u64, V),
-    #[cfg(debug_assertions)]
+    /// Records the allocation behind `ptr` has room for.
     len: usize,
 }
 
@@ -117,99 +87,48 @@ impl<V> Clone for SharedOut<V> {
     }
 }
 impl<V> Copy for SharedOut<V> {}
-// SAFETY: the wrapper itself is just a pointer; cross-thread use is
-// governed by the claim protocol documented on the methods.
+// SAFETY: the wrapper is a pointer plus its bound; cross-thread use is
+// governed by the disjoint-offsets contract documented on `write`.
 unsafe impl<V: Send> Send for SharedOut<V> {}
-// SAFETY: as above — &SharedOut only exposes the unsafe accessors.
+// SAFETY: as above — &SharedOut only exposes the unsafe accessor.
 unsafe impl<V: Send> Sync for SharedOut<V> {}
 
 impl<V: Copy> SharedOut<V> {
-    /// Read the record at `i`.
+    /// Write the record at `i` (panics if `i` is out of bounds).
     ///
     /// # Safety
     ///
-    /// `i` is in bounds and currently claimed by the calling worker (no
-    /// other thread may access index `i` concurrently).
-    #[inline]
-    unsafe fn read(self, i: usize) -> (u64, V) {
-        #[cfg(debug_assertions)]
-        debug_assert!(i < self.len);
-        // SAFETY: caller contract — exclusive claim over index i.
-        unsafe { *self.ptr.add(i) }
-    }
-
-    /// Write the record at `i`.
-    ///
-    /// # Safety
-    ///
-    /// As [`SharedOut::read`]: `i` is in bounds and exclusively claimed.
+    /// No other thread accesses index `i` during the replay pass.
     #[inline]
     unsafe fn write(self, i: usize, r: (u64, V)) {
-        #[cfg(debug_assertions)]
-        debug_assert!(i < self.len);
-        // SAFETY: caller contract — exclusive claim over index i.
+        assert!(i < self.len, "replay offset {i} outside the output");
+        // SAFETY: i is in bounds (checked above) and, by the caller
+        // contract, exclusively ours.
         unsafe { self.ptr.add(i).write(r) };
     }
 }
 
-/// Claim up to `want` fresh positions of the region ending at `end` from
-/// `head`. Returns the claimed range `(pos, k)` or `None` when the region
-/// is exhausted (a lost race counts as exhausted — the winner owns the
-/// tail).
-///
-/// The `fetch_add` may overshoot `end`; overshoot positions are outside
-/// every returned range, so they are never read or written by anyone, and
-/// the preceding load bounds how far the cursor can run past the end.
-#[inline]
-fn claim(head: &AtomicUsize, end: usize, want: usize) -> Option<(usize, usize)> {
-    // ORDERING: Relaxed exhaustion pre-check; a stale value only costs a
-    // wasted fetch_add, which re-checks against `end` itself.
-    // publishes-via: fork-join barrier (claimed slots are read next phase)
-    if head.load(Ordering::Relaxed) >= end {
-        return None;
-    }
-    // ORDERING: Relaxed cursor bump — uniqueness of the claimed range
-    // comes from fetch_add atomicity alone; the records written into the
-    // range are published to the next phase by the join, not this RMW.
-    // publishes-via: fork-join barrier
-    let pos = head.fetch_add(want, Ordering::Relaxed);
-    if pos >= end {
-        return None;
-    }
-    Some((pos, want.min(end - pos)))
-}
-
 /// Scratch-free estimate of the bytes the in-place scatter will hold for
 /// this plan — the budget analogue of
-/// [`arena_bytes`](crate::scatter::arena_bytes) for the arena strategies.
-/// Counting matrix + bounds + cursors + per-worker bucket maps; the swap
-/// slabs themselves scale with touched buckets and are excluded (they are
-/// bounded by this term anyway).
-pub fn inplace_bytes<V>(plan: &BucketPlan, workers: usize, swap_buffer: usize) -> usize {
-    let b = plan.num_buckets();
-    let usize_b = std::mem::size_of::<usize>();
-    // counts (≤ 2·workers rows) + starts + heads + per-worker maps + one
-    // slab per worker as a floor.
-    b * usize_b * (2 * workers + 2)
-        + workers * b * std::mem::size_of::<u32>() * 2
-        + workers * swap_buffer * std::mem::size_of::<(u64, V)>()
+/// [`arena_bytes`](crate::scatter::arena_bytes) for the arena strategies:
+/// the count matrix (at most two rows per worker) plus the region bounds.
+pub fn inplace_bytes(plan: &BucketPlan, workers: usize) -> usize {
+    (plan.num_buckets() * (2 * workers + 1) + 1) * std::mem::size_of::<usize>()
 }
 
-/// Permute `records` into `out` so every record sits inside its bucket's
+/// Scatter `records` into `out` so every record sits inside its bucket's
 /// region (exact boundaries from the counting pass; region order is bucket
-/// order, heavy then light). Record order *within* a region is
-/// scheduling-dependent; [`sort_light_regions`] restores a deterministic
-/// key sequence afterwards.
+/// order, heavy then light), keeping input order within each region. The
+/// output is the same at any thread count; [`sort_light_regions`] then
+/// groups each light region by key.
 ///
-/// `swap_buffer` is [`ScatterConfig::swap_buffer`](crate::config::ScatterConfig::swap_buffer);
 /// `forced_overflow` injects the Las Vegas failure that this strategy
 /// cannot produce organically, keeping the chaos-test ladder uniform
-/// across strategies.
+/// across strategies; `out` is left empty when it fires.
 pub fn inplace_scatter<V: Copy + Send + Sync>(
     records: &[(u64, V)],
     plan: &BucketPlan,
     out: &mut Vec<(u64, V)>,
-    swap_buffer: usize,
     sink: &ObsSink,
     forced_overflow: Option<FaultClass>,
     scratch: &mut InPlaceScratch,
@@ -217,46 +136,47 @@ pub fn inplace_scatter<V: Copy + Send + Sync>(
     let n = records.len();
     let num_buckets = plan.num_buckets();
     out.clear();
-    out.extend_from_slice(records);
     if n == 0 || num_buckets == 0 {
+        out.extend_from_slice(records);
         return InPlaceOutcome::default();
     }
 
     let workers = rayon::current_num_threads().max(1);
     let chunk = n.div_ceil(workers * 2).max(MIN_CHUNK);
     let num_chunks = n.div_ceil(chunk);
-    let grew = scratch.prepare(num_buckets, num_chunks, workers);
+    let grew = scratch.prepare(num_buckets, num_chunks);
 
     // Counting pass: one private row of the matrix per chunk, no sharing.
-    {
-        let mut rows: Vec<CountRow<'_, V>> = scratch
-            .counts
-            .chunks_mut(num_buckets)
-            .zip(records.chunks(chunk))
-            .collect();
-        rows.par_iter_mut().for_each(|(row, chunk_recs)| {
-            for &(key, _) in chunk_recs.iter() {
-                row[plan.bucket_of(key) as usize] += 1;
-            }
-        });
-    }
+    let mut rows: Vec<CountRow<'_, V>> = scratch
+        .counts
+        .chunks_mut(num_buckets)
+        .zip(records.chunks(chunk))
+        .collect();
+    rows.par_iter_mut().for_each(|(row, chunk_recs)| {
+        for &(key, _) in chunk_recs.iter() {
+            row[plan.bucket_of(key) as usize] += 1;
+        }
+    });
 
-    // Exclusive prefix sum → exact region bounds. Never overflows: the
-    // regions partition [0, n) exactly.
+    // Exclusive prefix sum, bucket-outer and chunk-inner: each cell becomes
+    // its chunk's first write offset in that bucket, and `starts` the exact
+    // region bounds. Never overflows: the regions partition [0, n) exactly.
     let mut heavy_records = 0usize;
     let mut acc = 0usize;
     scratch.starts.push(0);
     for b in 0..num_buckets {
-        let mut total = 0usize;
-        for ci in 0..num_chunks {
-            total += scratch.counts[ci * num_buckets + b];
+        let region_start = acc;
+        for (row, _) in rows.iter_mut() {
+            let count = row[b];
+            row[b] = acc;
+            acc += count;
         }
+        let total = acc - region_start;
         if b < plan.num_heavy {
             heavy_records += total;
         } else {
             sink.record_occupancy(total as u64);
         }
-        acc += total;
         scratch.starts.push(acc);
     }
     debug_assert_eq!(acc, n, "regions must partition the input");
@@ -277,86 +197,35 @@ pub fn inplace_scatter<V: Copy + Send + Sync>(
                 overflowed: true,
                 overflow: capture.take(),
                 grew,
-                ..Default::default()
             };
         }
     }
 
-    for b in 0..num_buckets {
-        // ORDERING: Relaxed reset before the parallel phase spawns the
-        // workers that contend on these heads.
-        // publishes-via: fork-join barrier (scope spawn)
-        scratch.heads[b].store(scratch.starts[b], Ordering::Relaxed);
-    }
-
+    // Replay pass: every chunk writes its records, in input order, at its
+    // own offsets. `out` was cleared above, so after `reserve` its spare
+    // capacity spans at least n records.
+    out.reserve(n);
     let shared = SharedOut {
-        ptr: out.as_mut_ptr(),
-        #[cfg(debug_assertions)]
+        ptr: out.spare_capacity_mut().as_mut_ptr().cast::<(u64, V)>(),
         len: n,
     };
-    let starts: &[usize] = &scratch.starts;
-    let heads: &[AtomicUsize] = &scratch.heads[..num_buckets];
-
-    // The parallel permutation. Each worker owns its InPlaceWorker state
-    // (`par_iter_mut` hands out disjoint &mut); `shared`, `starts` and
-    // `heads` are the only cross-worker state, and only `heads` is ever
-    // written concurrently.
-    let results: Vec<WorkerYield<V>> = scratch.workers[..workers]
-        .par_iter_mut()
-        .enumerate()
-        .map(|(w, worker)| {
-            worker_loop(w, workers, worker, shared, starts, heads, plan, swap_buffer)
-        })
-        .collect();
-
-    // Sequential reconciliation: fill each worker's surviving holes from
-    // the stranded records. Conservation (see module docs) guarantees the
-    // per-bucket counts match exactly.
-    let mut cycles = 0usize;
-    let mut flushes = 0usize;
-    let mut leftovers: Vec<(u64, V)> = Vec::new();
-    for (stranded, c, f) in results {
-        cycles += c;
-        flushes += f;
-        leftovers.extend_from_slice(&stranded);
-    }
-    let mut holes: Vec<(u32, usize, usize)> = Vec::new();
-    for worker in scratch.workers[..workers].iter_mut() {
-        for &b in &worker.touched_holes {
-            let mut h = worker.hole_of[b as usize];
-            // Both sentinels (HOLES_EMPTY entry, HOLES_NONE terminator)
-            // sit above every valid arena index, so one bound ends the walk.
-            while h < HOLES_EMPTY {
-                let hr = worker.holes[h as usize];
-                if hr.len > 0 {
-                    holes.push((b, hr.start, hr.len));
-                }
-                h = hr.next;
-            }
+    rows.par_iter_mut().for_each(|(row, chunk_recs)| {
+        for &r in chunk_recs.iter() {
+            let cell = &mut row[plan.bucket_of(r.0) as usize];
+            // SAFETY: the offsets handed out by the prefix pass are
+            // disjoint across chunks and buckets, so no other chunk writes
+            // this index.
+            unsafe { shared.write(*cell, r) };
+            *cell += 1;
         }
-        worker.reset_holes();
-    }
-    if !leftovers.is_empty() || !holes.is_empty() {
-        holes.sort_unstable_by_key(|&(b, start, _)| (b, start));
-        leftovers.sort_unstable_by_key(|r| plan.bucket_of(r.0));
-        let mut li = 0usize;
-        for &(b, start, len) in &holes {
-            for j in 0..len {
-                debug_assert_eq!(
-                    plan.bucket_of(leftovers[li].0),
-                    b,
-                    "conservation: stranded records must match holes per bucket"
-                );
-                out[start + j] = leftovers[li];
-                li += 1;
-            }
-        }
-        debug_assert_eq!(li, leftovers.len(), "every stranded record placed");
-    }
+    });
+    // SAFETY: the replay pass initialized every index of [0, n) exactly
+    // once — the per-chunk, per-bucket ranges partition [0, n) — and the
+    // join of the parallel loop orders those writes before this point.
+    unsafe { out.set_len(n) };
 
-    // Every record was placed exactly once (fixed points, hole repayments,
-    // claim-swaps, and the reconciliation zip-fill partition the input), so
-    // the strategy-uniform placement counter is simply n.
+    // Every record was written exactly once, so the strategy-uniform
+    // placement counter is simply n.
     if sink.level().counters() {
         sink.merge_cell(&WorkerCell {
             records_placed: n as u64,
@@ -368,217 +237,15 @@ pub fn inplace_scatter<V: Copy + Send + Sync>(
         heavy_records,
         overflowed: false,
         overflow: None,
-        cycles,
-        flushes,
         grew,
     }
 }
 
-/// One worker's prime/flush/strand loop (see module docs). Returns the
-/// stranded records plus the worker's `(cycles, flushes)` counters; the
-/// worker's unfilled holes stay behind in `worker` for reconciliation.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop<V: Copy + Send + Sync>(
-    w: usize,
-    workers: usize,
-    worker: &mut InPlaceWorker,
-    out: SharedOut<V>,
-    starts: &[usize],
-    heads: &[AtomicUsize],
-    plan: &BucketPlan,
-    swap_buffer: usize,
-) -> (Vec<(u64, V)>, usize, usize) {
-    let num_buckets = starts.len() - 1;
-    worker.begin(num_buckets);
-    let mut pending: Vec<(u64, V)> = Vec::new();
-    let mut flush_buf: Vec<(u64, V)> = Vec::with_capacity(swap_buffer);
-    let mut stranded: Vec<(u64, V)> = Vec::new();
-    let mut cycles = 0usize;
-    let mut flushes = 0usize;
-    // Workers start their bucket scan spread across the ring so early
-    // claims don't all contend on bucket 0's cursor.
-    let mut scan = w * num_buckets / workers;
-
-    loop {
-        // Classify in-hand records; flush buffers as they fill.
-        while let Some((key, val)) = pending.pop() {
-            let d = plan.bucket_of(key) as usize;
-            if let Some(full) = worker.buf.push(d, (key, val), swap_buffer) {
-                flush_buf.clear();
-                flush_buf.extend_from_slice(full);
-                flushes += 1;
-                flush_records(
-                    worker,
-                    d,
-                    &flush_buf,
-                    out,
-                    starts,
-                    heads,
-                    &mut pending,
-                    &mut stranded,
-                );
-            }
-        }
-
-        // Prime: claim a batch of fresh positions from the next
-        // unexhausted bucket on the ring.
-        let mut primed = false;
-        for _ in 0..num_buckets {
-            let b = scan;
-            let end = starts[b + 1];
-            if let Some((pos, k)) = claim(&heads[b], end, swap_buffer) {
-                cycles += 1;
-                // Read the displaced records; fixed points (records
-                // already in bucket b) stay put and never become holes.
-                let mut run_start = pos;
-                for i in pos..pos + k {
-                    // SAFETY: [pos, pos+k) was claimed above — this worker
-                    // exclusively owns these indices, which lie inside
-                    // bucket b's region (claim clamps to `end` ≤ n).
-                    let r = unsafe { out.read(i) };
-                    if plan.bucket_of(r.0) as usize == b {
-                        if i > run_start {
-                            push_hole(worker, b, run_start, i - run_start);
-                        }
-                        run_start = i + 1;
-                    } else {
-                        pending.push(r);
-                    }
-                }
-                if pos + k > run_start {
-                    push_hole(worker, b, run_start, pos + k - run_start);
-                }
-                primed = true;
-                break;
-            }
-            scan = if b + 1 == num_buckets { 0 } else { b + 1 };
-        }
-        if primed {
-            continue;
-        }
-
-        // Every cursor is exhausted: drain the partial buffers. Claims can
-        // no longer succeed (cursors are monotone), so this only repays
-        // private holes or strands — `pending` stays empty.
-        for s in 0..worker.buf.touched_len() {
-            let (d, part) = worker.buf.partial::<V>(s, swap_buffer);
-            if part.is_empty() {
-                continue;
-            }
-            flush_buf.clear();
-            flush_buf.extend_from_slice(part);
-            flushes += 1;
-            flush_records(
-                worker,
-                d,
-                &flush_buf,
-                out,
-                starts,
-                heads,
-                &mut pending,
-                &mut stranded,
-            );
-        }
-        debug_assert!(pending.is_empty(), "exhausted cursors cannot displace");
-        worker.buf.reset();
-        return (stranded, cycles, flushes);
-    }
-}
-
-/// Place `records` (all destined for bucket `d`) into the output: private
-/// holes first (write-only), then freshly claimed positions (swap —
-/// displaced records go to `pending`), stranding whatever is left once
-/// `d`'s region is exhausted.
-#[allow(clippy::too_many_arguments)]
-fn flush_records<V: Copy + Send + Sync>(
-    worker: &mut InPlaceWorker,
-    d: usize,
-    records: &[(u64, V)],
-    out: SharedOut<V>,
-    starts: &[usize],
-    heads: &[AtomicUsize],
-    pending: &mut Vec<(u64, V)>,
-    stranded: &mut Vec<(u64, V)>,
-) {
-    let mut i = 0usize;
-    // Repay private holes: positions this worker claimed from d earlier
-    // and still owes records to.
-    while i < records.len() {
-        let h = worker.hole_of[d];
-        if h >= HOLES_EMPTY {
-            break;
-        }
-        let hr = &mut worker.holes[h as usize];
-        let take = hr.len.min(records.len() - i);
-        for j in 0..take {
-            // SAFETY: the hole range was claimed by this worker at prime
-            // time and has not been written since (len tracks the unfilled
-            // remainder), so these indices are exclusively owned.
-            unsafe { out.write(hr.start + j, records[i + j]) };
-        }
-        hr.start += take;
-        hr.len -= take;
-        i += take;
-        if worker.holes[h as usize].len == 0 {
-            // A fully repaid list parks at HOLES_EMPTY (not HOLES_NONE):
-            // the bucket stays registered in `touched_holes` exactly once.
-            let next = worker.holes[h as usize].next;
-            worker.hole_of[d] = if next == HOLES_NONE {
-                HOLES_EMPTY
-            } else {
-                next
-            };
-        }
-    }
-    // Claim fresh positions: read the displaced record, write ours.
-    while i < records.len() {
-        let Some((pos, k)) = claim(&heads[d], starts[d + 1], records.len() - i) else {
-            break;
-        };
-        for j in 0..k {
-            // SAFETY: [pos, pos+k) was claimed above — exclusively owned,
-            // inside bucket d's region.
-            pending.push(unsafe { out.read(pos + j) });
-            // SAFETY: as above.
-            unsafe { out.write(pos + j, records[i + j]) };
-        }
-        i += k;
-    }
-    if i < records.len() {
-        stranded.extend_from_slice(&records[i..]);
-    }
-}
-
-/// Record positions `[start, start + len)` as private holes of `worker` in
-/// bucket `b` (prepended to `b`'s range list).
-///
-/// `b` enters `touched_holes` only on the transition away from
-/// [`HOLES_NONE`] — a drained list parks at [`HOLES_EMPTY`], so re-priming
-/// the same bucket later cannot register it twice (a duplicate would make
-/// reconciliation refill the bucket's surviving holes twice).
-fn push_hole(worker: &mut InPlaceWorker, b: usize, start: usize, len: usize) {
-    let prev = worker.hole_of[b];
-    if prev == HOLES_NONE {
-        worker.touched_holes.push(b as u32);
-    }
-    let idx = worker.holes.len() as u32;
-    worker.holes.push(HoleRange {
-        start,
-        len,
-        next: if prev >= HOLES_EMPTY {
-            HOLES_NONE
-        } else {
-            prev
-        },
-    });
-    worker.hole_of[b] = idx;
-}
-
 /// Sort every light-bucket region of `out` by key (heavy regions hold a
-/// single key and need no sort). This is the in-place path's Phase 4; with
-/// it, the output's *key sequence* is deterministic for a given seed and
-/// input at any thread count — the same sequence the arena strategies
-/// produce with [`LocalSortAlgo::StdUnstable`] / `StdStable`.
+/// single key and need no sort). This is the in-place path's Phase 4; the
+/// scatter before it is stable, so with a deterministic `algo` the whole
+/// output — payloads included — is a function of the seed and the input
+/// alone, at any thread count.
 pub fn sort_light_regions<V: Copy + Send + Sync>(
     out: &mut [(u64, V)],
     plan: &BucketPlan,
@@ -616,7 +283,6 @@ mod tests {
 
     fn run(
         records: &[(u64, u64)],
-        swap_buffer: usize,
         forced: Option<FaultClass>,
     ) -> (BucketPlan, Vec<(u64, u64)>, InPlaceOutcome, InPlaceScratch) {
         let cfg = SemisortConfig::default();
@@ -627,59 +293,66 @@ mod tests {
         let sink = ObsSink::disabled();
         let mut scratch = InPlaceScratch::new();
         let mut out = Vec::new();
-        let outcome = inplace_scatter(
-            records,
-            &plan,
-            &mut out,
-            swap_buffer,
-            &sink,
-            forced,
-            &mut scratch,
-        );
+        let outcome = inplace_scatter(records, &plan, &mut out, &sink, forced, &mut scratch);
         (plan, out, outcome, scratch)
     }
 
-    fn assert_regioned(plan: &BucketPlan, starts: &[usize], out: &[(u64, u64)]) {
+    /// Every region holds only its own bucket's records, in input order
+    /// (payloads are input indices, so input order means increasing).
+    fn assert_regioned_stably(plan: &BucketPlan, starts: &[usize], out: &[(u64, u64)]) {
         for b in 0..plan.num_buckets() {
-            for &(key, _) in &out[starts[b]..starts[b + 1]] {
+            let region = &out[starts[b]..starts[b + 1]];
+            for &(key, _) in region {
                 assert_eq!(
                     plan.bucket_of(key) as usize,
                     b,
                     "record in wrong region (bucket {b})"
                 );
             }
+            assert!(
+                region.windows(2).all(|w| w[0].1 < w[1].1),
+                "bucket {b} lost input order"
+            );
         }
     }
 
     #[test]
     fn permutes_into_exact_regions() {
         let records: Vec<(u64, u64)> = (0..40_000u64).map(|i| (hash64(i % 3000), i)).collect();
-        let (plan, out, outcome, scratch) = run(&records, 32, None);
+        let (plan, out, outcome, scratch) = run(&records, None);
         assert!(!outcome.overflowed);
         assert!(is_permutation_of(&out, &records));
-        assert_regioned(&plan, &scratch.starts, &out);
-        assert!(outcome.cycles > 0, "40k records must prime at least once");
+        assert_regioned_stably(&plan, &scratch.starts, &out);
     }
 
     #[test]
     fn all_equal_keys_need_no_movement() {
         let records: Vec<(u64, u64)> = (0..20_000u64).map(|i| (hash64(7), i)).collect();
-        let (plan, out, outcome, _) = run(&records, 32, None);
+        let (plan, out, outcome, _) = run(&records, None);
         assert_eq!(outcome.heavy_records, records.len());
         assert_eq!(plan.num_heavy, 1);
-        assert_eq!(out, records, "fixed points stay in place untouched");
-        assert_eq!(outcome.flushes, 0, "nothing to buffer when nothing moves");
+        assert_eq!(
+            out, records,
+            "a stable scatter of one bucket is the identity"
+        );
     }
 
     #[test]
-    fn tiny_swap_buffer_still_correct() {
-        let records: Vec<(u64, u64)> = (0..30_000u64).map(|i| (hash64(i % 777), i)).collect();
-        for s in [1usize, 2, 4] {
-            let (plan, out, outcome, scratch) = run(&records, s, None);
-            assert!(!outcome.overflowed, "swap_buffer={s}");
-            assert!(is_permutation_of(&out, &records), "swap_buffer={s}");
-            assert_regioned(&plan, &scratch.starts, &out);
-        }
+    fn more_chunks_than_nonempty_buckets() {
+        // 8 workers cut 160k records into 16 chunks, but only 3 buckets are
+        // non-empty: most matrix cells stay zero and every region is
+        // stitched together from all 16 chunks' slices.
+        let records: Vec<(u64, u64)> = (0..160_000u64).map(|i| (hash64(i % 3), i)).collect();
+        let (plan, out, outcome, scratch) = parlay::with_threads(8, || run(&records, None));
+        assert!(!outcome.overflowed);
+        let chunks = scratch.counts.len() / plan.num_buckets();
+        let starts = &scratch.starts;
+        let nonempty = (0..plan.num_buckets())
+            .filter(|&b| starts[b + 1] > starts[b])
+            .count();
+        assert_eq!((chunks, nonempty), (16, 3));
+        assert!(is_permutation_of(&out, &records));
+        assert_regioned_stably(&plan, &scratch.starts, &out);
     }
 
     #[test]
@@ -690,7 +363,7 @@ mod tests {
                 (hash64(k), i)
             })
             .collect();
-        let (plan, mut out, outcome, scratch) = run(&records, 32, None);
+        let (plan, mut out, outcome, scratch) = run(&records, None);
         assert!(outcome.heavy_records > 0);
         sort_light_regions(&mut out, &plan, &scratch.starts, LocalSortAlgo::StdUnstable);
         assert!(is_semisorted_by(&out, |r| r.0));
@@ -700,8 +373,9 @@ mod tests {
     #[test]
     fn forced_overflow_reports_and_bails() {
         let records: Vec<(u64, u64)> = (0..20_000u64).map(|i| (hash64(i), i)).collect();
-        let (_, _, outcome, _) = run(&records, 32, Some(FaultClass::Any));
+        let (_, out, outcome, _) = run(&records, Some(FaultClass::Any));
         assert!(outcome.overflowed);
+        assert!(out.is_empty(), "a bailed scatter writes nothing");
         let (b, allocated, observed) = outcome.overflow.expect("capture set");
         assert!(observed > allocated, "bucket {b} must over-report");
     }
@@ -711,7 +385,7 @@ mod tests {
         // All-distinct keys produce no heavy buckets; a Heavy-class fault
         // must be inert, exactly like the arena strategies.
         let records: Vec<(u64, u64)> = (0..20_000u64).map(|i| (hash64(i), i)).collect();
-        let (_, out, outcome, _) = run(&records, 32, Some(FaultClass::Heavy));
+        let (_, out, outcome, _) = run(&records, Some(FaultClass::Heavy));
         assert!(!outcome.overflowed);
         assert!(is_permutation_of(&out, &records));
     }
@@ -727,11 +401,11 @@ mod tests {
         let sink = ObsSink::disabled();
         let mut scratch = InPlaceScratch::new();
         let mut out = Vec::new();
-        inplace_scatter(&records, &plan, &mut out, 32, &sink, None, &mut scratch);
+        inplace_scatter(&records, &plan, &mut out, &sink, None, &mut scratch);
         let held = scratch.bytes();
         assert!(held > 0);
         let out1 = out.clone();
-        inplace_scatter(&records, &plan, &mut out, 32, &sink, None, &mut scratch);
+        inplace_scatter(&records, &plan, &mut out, &sink, None, &mut scratch);
         assert_eq!(scratch.bytes(), held, "steady state: no regrowth");
         assert!(is_permutation_of(&out, &out1));
     }
@@ -745,7 +419,7 @@ mod tests {
         sample.sort_unstable();
         let plan = build_plan(&sample, records.len(), &cfg);
         let arena = crate::scatter::arena_bytes::<u64>(&plan);
-        let inplace = inplace_bytes::<u64>(&plan, 8, 32);
+        let inplace = inplace_bytes(&plan, 8);
         assert!(
             inplace * 4 <= arena,
             "in-place estimate {inplace} not ≥4× below arena {arena}"
@@ -759,7 +433,7 @@ mod tests {
         let sink = ObsSink::disabled();
         let mut scratch = InPlaceScratch::new();
         let mut out: Vec<(u64, u64)> = vec![(1, 1)];
-        let outcome = inplace_scatter(&[], &plan, &mut out, 32, &sink, None, &mut scratch);
+        let outcome = inplace_scatter(&[], &plan, &mut out, &sink, None, &mut scratch);
         assert!(out.is_empty());
         assert!(!outcome.overflowed);
     }

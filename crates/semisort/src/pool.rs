@@ -433,103 +433,19 @@ impl BlockScratch {
     }
 }
 
-/// `hole_of` sentinel: this bucket has no hole list *and* was never given
-/// one this run (it is absent from `touched_holes`). Also terminates the
-/// `next` chain inside [`HoleRange`].
-pub(crate) const HOLES_NONE: u32 = u32::MAX;
-
-/// `hole_of` sentinel: this bucket's hole list existed this run but every
-/// range was repaid. Distinct from [`HOLES_NONE`] so a later `push_hole`
-/// on the same bucket does not enter it into `touched_holes` a second
-/// time — a duplicate would make reconciliation walk (and refill) the
-/// bucket's surviving holes twice.
-pub(crate) const HOLES_EMPTY: u32 = u32::MAX - 1;
-
-/// One open hole range in the in-place scatter: positions
-/// `[start, start + len)` of the output buffer were claimed (their records
-/// read out) by one worker and not yet refilled. Ranges for the same
-/// bucket form a singly-linked list threaded through `next` (index into
-/// the worker's `holes` arena; [`HOLES_NONE`] terminates).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct HoleRange {
-    pub(crate) start: usize,
-    pub(crate) len: usize,
-    pub(crate) next: u32,
-}
-
-/// One worker's reusable state for the in-place scatter: the per-bucket
-/// swap buffers (same sparse-slab layout as the blocked scatter's
-/// [`WorkerScratch`]) plus the private-hole bookkeeping.
-#[derive(Debug)]
-pub(crate) struct InPlaceWorker {
-    /// Per-destination-bucket swap buffers (slabs of `swap_buffer` records).
-    pub(crate) buf: WorkerScratch,
-    /// bucket → head index into `holes`, [`HOLES_EMPTY`] (list drained
-    /// this run), or [`HOLES_NONE`] (never listed). Same all-[`HOLES_NONE`]
-    /// reset invariant as [`WorkerScratch::slot_of`], restored via
-    /// `touched_holes` on every exit path.
-    pub(crate) hole_of: Vec<u32>,
-    /// Buckets with a non-[`HOLES_NONE`] `hole_of` entry this run, each
-    /// exactly once (reconciliation iterates this as a set).
-    pub(crate) touched_holes: Vec<u32>,
-    /// Hole-range arena, cleared per run.
-    pub(crate) holes: Vec<HoleRange>,
-}
-
-impl InPlaceWorker {
-    fn new() -> Self {
-        InPlaceWorker {
-            buf: WorkerScratch::new(),
-            hole_of: Vec::new(),
-            touched_holes: Vec::new(),
-            holes: Vec::new(),
-        }
-    }
-
-    fn bytes(&self) -> usize {
-        self.buf.bytes()
-            + self.hole_of.capacity() * std::mem::size_of::<u32>()
-            + self.touched_holes.capacity() * std::mem::size_of::<u32>()
-            + self.holes.capacity() * std::mem::size_of::<HoleRange>()
-    }
-
-    /// Size the hole map for this run. New entries start at the sentinel;
-    /// existing ones already hold it (the reset invariant).
-    pub(crate) fn begin(&mut self, num_buckets: usize) {
-        debug_assert!(self.touched_holes.is_empty(), "reset_holes() must have run");
-        debug_assert!(self.holes.is_empty(), "reset_holes() must have run");
-        if self.hole_of.len() < num_buckets {
-            self.hole_of.resize(num_buckets, HOLES_NONE);
-        }
-        self.buf.begin(num_buckets);
-    }
-
-    /// Restore the all-sentinel invariant of `hole_of` and clear the arena.
-    pub(crate) fn reset_holes(&mut self) {
-        for &b in &self.touched_holes {
-            let b = b as usize;
-            self.hole_of[b] = HOLES_NONE;
-        }
-        self.touched_holes.clear();
-        self.holes.clear();
-    }
-}
-
 /// Pooled state for [`crate::inplace_scatter::inplace_scatter`]: the
-/// counting matrix, the per-bucket region bounds and claim cursors, and
-/// one `InPlaceWorker` per concurrent worker. All O(buckets + workers)
-/// — the point of the in-place path is that there is no O(n·α) arena.
+/// counting matrix (rewritten in place into per-chunk write offsets) and
+/// the per-bucket region bounds. O(buckets · workers) — the point of the
+/// in-place path is that there is no O(n·α) arena.
 #[derive(Debug, Default)]
 pub struct InPlaceScratch {
     /// Exclusive prefix sums of the bucket counts: bucket `b`'s region is
     /// `starts[b]..starts[b + 1]` (length `num_buckets + 1` this run).
     pub(crate) starts: Vec<usize>,
-    /// Per-bucket claim cursors (absolute indices into the output buffer).
-    pub(crate) heads: Vec<AtomicUsize>,
-    /// Counting-pass matrix: `num_chunks × num_buckets`, row-major.
+    /// Counting-pass matrix: `num_chunks × num_buckets`, row-major. After
+    /// the prefix pass, cell `(ci, b)` is chunk `ci`'s next write offset
+    /// in bucket `b`.
     pub(crate) counts: Vec<usize>,
-    /// Per-worker swap/hole state.
-    pub(crate) workers: Vec<InPlaceWorker>,
 }
 
 impl InPlaceScratch {
@@ -540,46 +456,27 @@ impl InPlaceScratch {
 
     /// Bytes held across all buffers.
     pub fn bytes(&self) -> usize {
-        self.starts.capacity() * std::mem::size_of::<usize>()
-            + self.heads.capacity() * std::mem::size_of::<AtomicUsize>()
-            + self.counts.capacity() * std::mem::size_of::<usize>()
-            + self.workers.iter().map(InPlaceWorker::bytes).sum::<usize>()
+        (self.starts.capacity() + self.counts.capacity()) * std::mem::size_of::<usize>()
     }
 
-    /// Size for `num_buckets` buckets, `num_chunks` counting chunks and
-    /// `num_workers` permutation workers, zeroing the counting matrix.
-    /// Returns true when any top-level buffer had to allocate (a pool
-    /// "grow"); false when the pooled capacity was reused as-is.
-    pub(crate) fn prepare(
-        &mut self,
-        num_buckets: usize,
-        num_chunks: usize,
-        num_workers: usize,
-    ) -> bool {
+    /// Size for `num_buckets` buckets and `num_chunks` counting chunks,
+    /// zeroing the counting matrix. Returns true when either buffer had to
+    /// allocate (a pool "grow"); false when the pooled capacity was reused
+    /// as-is.
+    pub(crate) fn prepare(&mut self, num_buckets: usize, num_chunks: usize) -> bool {
         let cells = num_chunks * num_buckets;
-        let grew = self.starts.capacity() < num_buckets + 1
-            || self.heads.len() < num_buckets
-            || self.counts.capacity() < cells
-            || self.workers.len() < num_workers;
+        let grew = self.starts.capacity() < num_buckets + 1 || self.counts.capacity() < cells;
         self.starts.clear();
         self.starts.reserve(num_buckets + 1);
-        if self.heads.len() < num_buckets {
-            self.heads.resize_with(num_buckets, || AtomicUsize::new(0));
-        }
         self.counts.clear();
         self.counts.resize(cells, 0);
-        if self.workers.len() < num_workers {
-            self.workers.resize_with(num_workers, InPlaceWorker::new);
-        }
         grew
     }
 
     /// Release all held memory.
     pub fn free(&mut self) {
         self.starts = Vec::new();
-        self.heads = Vec::new();
         self.counts = Vec::new();
-        self.workers = Vec::new();
     }
 }
 
@@ -594,7 +491,7 @@ pub struct ScratchPool {
     pub(crate) sample: Vec<u64>,
     /// Blocked-scatter worker buffers and cursors.
     pub(crate) blocked: BlockScratch,
-    /// In-place-scatter counting matrix, region cursors and swap buffers.
+    /// In-place-scatter counting matrix and region bounds.
     pub(crate) inplace: InPlaceScratch,
     /// Engine-level `(hash, index)` records for the by-key entry points.
     pub(crate) hashed: Vec<(u64, u64)>,

@@ -30,7 +30,7 @@
 //!     "alpha": 1.1, "c": 1.25, "merge_light_buckets": true,
 //!     "probe_strategy": "linear", "scatter_strategy": "random-cas",
 //!     "scatter_block": 16, "blocked_tail_log2": 3,
-//!     "prefetch_distance": 8, "swap_buffer": 32,
+//!     "prefetch_distance": 8,
 //!     "local_sort_algo": "std-unstable", "seed": 42,
 //!     "seq_threshold": 8192, "max_retries": 3, "telemetry": "deep",
 //!     "overflow_policy": "fallback", "max_arena_bytes": null,
@@ -153,12 +153,14 @@ pub struct SemisortStats {
     pub slab_overflows: usize,
     /// Blocked scatter only: records placed by the per-record CAS fallback.
     pub fallback_records: usize,
-    /// In-place scatter only: positions claimed from bucket cursors during
-    /// the cycle-following permutation (each claim opens or extends one
-    /// displacement chain; 0 under the arena-backed strategies).
+    /// Always 0. Counted the claim cycles of the former cycle-following
+    /// in-place scatter; the stable counting scatter that replaced it has
+    /// no cycles. Kept so the stats-JSON `counters` keep the key.
     pub inplace_cycles: usize,
-    /// In-place scatter only: times a worker's per-bucket swap buffer
-    /// filled and was written back through the claim/displace protocol.
+    /// Always 0. Counted the swap-buffer flushes of the former
+    /// cycle-following in-place scatter, which the stable counting
+    /// scatter does not have. Kept so the stats-JSON `counters` keep the
+    /// key.
     pub swap_buffer_flushes: usize,
     /// Bytes of scratch the [`ScratchPool`](crate::pool::ScratchPool)
     /// retains after this call (post `max_scratch_bytes` enforcement).
@@ -291,10 +293,6 @@ impl SemisortStats {
             (
                 "prefetch_distance".into(),
                 Json::num(cfg.scatter.prefetch_distance as u64),
-            ),
-            (
-                "swap_buffer".into(),
-                Json::num(cfg.scatter.swap_buffer as u64),
             ),
             (
                 "local_sort_algo".into(),

@@ -13,8 +13,9 @@
 //! - the `RawBuf` monotonic arena: alloc / lease / grow / trim, the
 //!   dirty-prefix re-zero boundary, and the Drop/free recursion regression
 //!   from PR 4 (`free` resets field-by-field so `Drop` cannot re-enter it);
-//! - both scatter strategies (CAS + linear/random probing, and the blocked
-//!   fetch_add-slab scatter with its CAS-fallback tail);
+//! - the three scatter strategies (CAS + linear/random probing, the blocked
+//!   fetch_add-slab scatter with its CAS-fallback tail, and the in-place
+//!   stable counting scatter's spare-capacity writes + `set_len`);
 //! - the pack phase (interval compaction + `spare_capacity_mut` writes +
 //!   `set_len`);
 //! - the fault-injection escalation ladder (forced overflow → retry,
@@ -244,9 +245,9 @@ fn blocked_scatter_tiny_tail_forces_cas_fallback() {
 
 #[test]
 fn inplace_scatter_end_to_end() {
-    // The cursor-claim permutation: counting pass, prime/flush/strand
-    // loops through SharedOut's raw pointers, and the reconciliation
-    // zip-fill — the exact unsafe surface ISSUE 9 added.
+    // The stable counting scatter: counting pass, offset rewrite, the
+    // replay pass's raw writes into `out`'s spare capacity through
+    // SharedOut, and the `set_len` that publishes them.
     let recs = mixed_records(N);
     let cfg = small_cfg()
         .to_builder()
@@ -258,28 +259,36 @@ fn inplace_scatter_end_to_end() {
         .unwrap();
     let (out, stats) = semisort::try_semisort_with_stats(&recs, &cfg).unwrap();
     check(&out, &recs);
-    assert!(stats.inplace_cycles > 0, "mixed input must prime");
+    assert!(stats.heavy_records > 0 && stats.light_records > 0);
     assert_eq!(stats.blocks_flushed, 0, "no arena slabs on this path");
 }
 
 #[test]
-fn inplace_scatter_tiny_swap_buffer() {
-    // swap_buffer = 1 maximizes flush/strand traffic per record: every
-    // classify flushes, every flush claims one position — the densest
-    // read/write interleave over the claimed indices.
-    let recs = mixed_records(N);
+fn inplace_scatter_one_record_per_bucket() {
+    // Unmerged light buckets and one record per hash prefix, fed in
+    // reverse prefix order: every bucket's region is a single slot and
+    // every record moves, so each raw write lands on a distinct,
+    // previously uninitialized index of the spare capacity.
     let cfg = small_cfg()
         .to_builder()
+        .seq_threshold(32)
+        .merge_light_buckets(false)
         .scatter(ScatterConfig {
             strategy: ScatterStrategy::InPlace,
-            swap_buffer: 1,
             ..ScatterConfig::default()
         })
         .build()
         .unwrap();
+    let n = 64usize;
+    let bits = semisort::buckets::effective_prefix_bits(n, cfg.light_bucket_log2);
+    assert_eq!(1usize << bits, n, "one prefix per record");
+    let recs: Vec<(u64, u64)> = (0..n as u64)
+        .rev()
+        .map(|p| ((p << (64 - bits)) | 1, p))
+        .collect();
     let (out, stats) = semisort::try_semisort_with_stats(&recs, &cfg).unwrap();
     check(&out, &recs);
-    assert!(stats.swap_buffer_flushes > 0, "unit buffers must flush");
+    assert_eq!((stats.heavy_keys, stats.light_buckets), (0, n));
 }
 
 #[test]

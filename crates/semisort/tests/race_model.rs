@@ -1,6 +1,6 @@
-//! Exhaustive race models of the three scatter slot-claim protocols.
+//! Exhaustive race models of the two arena scatters' slot-claim protocols.
 //!
-//! The paper's Algorithm 1 (steps 6–7) and the two later variants rest on
+//! The paper's Algorithm 1 (steps 6–7) and the blocked variant rest on
 //! concurrency claims that differential tests can only sample:
 //!
 //! 1. **CAS + linear probing** (`scatter::place_linear`): no two threads
@@ -9,11 +9,10 @@
 //!    (`blocked_scatter`'s flush): slab ranges reserved by `fetch_add` are
 //!    exclusive, spill past the slab goes through the CAS tail, and again
 //!    every record lands exactly once with no slot claimed twice.
-//! 3. **Region cursor claiming** (`inplace_scatter`): each bucket's
-//!    `heads[b].fetch_add(1)` hands out destination indices inside the
-//!    bucket's exact region; claims are exclusive, claims past the region
-//!    end strand the record (repaid by sequential reconciliation), and
-//!    landed + stranded partition the input.
+//!
+//! The in-place scatter has no protocol to model: its write offsets come
+//! from a serial prefix sum over the count matrix, so its parallel writes
+//! are disjoint by construction and use no atomics.
 //!
 //! These tests re-state each protocol over `loom` atomics (the in-tree
 //! shim, `crates/loom`) and run it under **every** interleaving of 2
@@ -21,12 +20,11 @@
 //! the verification plan in DESIGN.md §11. The protocol bodies mirror the
 //! production loops line-for-line (same probe order, same CAS, same
 //! cursor arithmetic) so a protocol-level regression in `scatter.rs` /
-//! `blocked_scatter.rs` / `inplace_scatter.rs` has to break the model too.
+//! `blocked_scatter.rs` has to break the model too.
 //!
-//! Two injection tests replace a protocol's atomic claim with the classic
-//! torn load-then-store and assert the explorer *catches* it: a harness
-//! that cannot see the duplicate claim would vacuously pass the green
-//! models.
+//! An injection test replaces the CAS claim with the classic torn
+//! load-then-store and asserts the explorer *catches* it: a harness that
+//! cannot see the duplicate claim would vacuously pass the green models.
 //!
 //! Not run under Miri: the explorer spawns thousands of real scheduled
 //! threads, which Miri executes orders of magnitude too slowly; Miri
@@ -176,114 +174,6 @@ fn fetch_add_slab_with_cas_tail_is_exclusive() {
         }
         assert_exactly_once(&slots, &claims, &[1, 2, 3, 4]);
     });
-}
-
-#[test]
-fn inplace_cursor_claims_are_exclusive() {
-    // Model mirror of `inplace_scatter`'s claim step: one bucket whose
-    // region is slots [0, 4), claim cursor starting at the region base.
-    // 2 threads each try to place 3 records — 6 claims against 4 slots, so
-    // in every schedule exactly 4 claims land in-region (each index handed
-    // to exactly one thread) and exactly 2 strand. The production loop
-    // uses the same Relaxed fetch_add: data publication is ordered by the
-    // fork/join barrier, not the cursor, and the model checks only the
-    // claim exclusivity the scatter relies on.
-    loom::model(|| {
-        let end = 4usize;
-        let slots: Arc<Vec<AtomicU64>> =
-            Arc::new((0..end).map(|_| AtomicU64::new(EMPTY)).collect());
-        let claims: Arc<Vec<AtomicUsize>> =
-            Arc::new((0..end).map(|_| AtomicUsize::new(0)).collect());
-        let head = Arc::new(LoomUsize::new(0));
-        let handles: Vec<_> = [[1u64, 2, 3], [4, 5, 6]]
-            .into_iter()
-            .map(|keys| {
-                let slots = slots.clone();
-                let claims = claims.clone();
-                let head = head.clone();
-                thread::spawn(move || {
-                    let mut stranded = Vec::new();
-                    for key in keys {
-                        let dst = head.fetch_add(1, Ordering::Relaxed);
-                        if dst < end {
-                            // The fetch_add made `dst` exclusively ours —
-                            // plain store, like `SharedOut::write`.
-                            slots[dst].store(key, Ordering::Relaxed);
-                            claims[dst].fetch_add(1, StdOrdering::Relaxed);
-                        } else {
-                            stranded.push(key);
-                        }
-                    }
-                    stranded
-                })
-            })
-            .collect();
-        let stranded: Vec<u64> = handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect();
-        assert_eq!(stranded.len(), 2, "exactly 6 - 4 claims must strand");
-        let mut all: Vec<u64> = slots
-            .iter()
-            .map(AtomicU64::unsync_load)
-            .filter(|&k| k != EMPTY)
-            .chain(stranded)
-            .collect();
-        all.sort_unstable();
-        assert_eq!(
-            all,
-            vec![1, 2, 3, 4, 5, 6],
-            "landed + stranded must partition the records"
-        );
-        for (i, c) in claims.iter().enumerate() {
-            assert_eq!(
-                c.load(StdOrdering::Relaxed),
-                1,
-                "region slot {i} must be claimed exactly once"
-            );
-        }
-    });
-}
-
-#[test]
-fn broken_inplace_cursor_protocol_is_caught() {
-    // Same cursor model with the fetch_add torn into load-then-store: the
-    // explorer must find the schedule where both threads read the same
-    // cursor value and claim one index twice (one record silently
-    // overwritten). Keeps the green model above honest.
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        loom::model(|| {
-            let end = 2usize;
-            let claims: Arc<Vec<AtomicUsize>> =
-                Arc::new((0..end).map(|_| AtomicUsize::new(0)).collect());
-            let head = Arc::new(LoomUsize::new(0));
-            let handles: Vec<_> = (0..2)
-                .map(|_| {
-                    let claims = claims.clone();
-                    let head = head.clone();
-                    thread::spawn(move || {
-                        // BROKEN: the read and the bump are not one
-                        // atomic step.
-                        let dst = head.load(Ordering::Relaxed);
-                        head.store(dst + 1, Ordering::Relaxed);
-                        if dst < end {
-                            claims[dst].fetch_add(1, StdOrdering::Relaxed);
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-            for (i, c) in claims.iter().enumerate() {
-                assert!(c.load(StdOrdering::Relaxed) <= 1, "slot {i} claimed twice");
-            }
-        });
-    }));
-    assert!(
-        result.is_err(),
-        "the explorer failed to catch the torn cursor claim"
-    );
 }
 
 #[test]

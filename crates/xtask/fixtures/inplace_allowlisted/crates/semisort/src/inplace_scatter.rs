@@ -3,6 +3,6 @@
 //! zero violations (pinning that the allowlist covers the in-place path).
 
 pub fn read(p: *const u8) -> u8 {
-    // SAFETY: fixture stand-in for the audited cursor-claim accesses.
+    // SAFETY: fixture stand-in for the audited replay-pass writes.
     unsafe { *p }
 }

@@ -59,7 +59,6 @@ pub const ATOMICS_ALLOWLIST: &[&str] = &[
     "crates/rayon/src/trace.rs",
     "crates/semisort/src/blocked_scatter.rs",
     "crates/semisort/src/cancel.rs",
-    "crates/semisort/src/inplace_scatter.rs",
     "crates/semisort/src/obs.rs",
     "crates/semisort/src/pool.rs",
     "crates/semisort/src/scatter.rs",

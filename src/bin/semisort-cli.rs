@@ -156,10 +156,16 @@ fn read_records(path: &str) -> Vec<(u64, u64)> {
     let mut r = BufReader::new(f);
     let mut bytes = Vec::new();
     r.read_to_end(&mut bytes).expect("read failed");
-    assert!(
-        bytes.len() % 16 == 0,
-        "file is not a whole number of 16-byte records"
-    );
+    if bytes.len() % 16 != 0 {
+        exit_error(
+            "invalid-input",
+            2,
+            &format!(
+                "{path}: {} bytes is not a whole number of 16-byte records",
+                bytes.len()
+            ),
+        );
+    }
     bytes
         .chunks_exact(16)
         .map(|c| {
@@ -249,14 +255,20 @@ fn run_or_exit(records: &[(u64, u64)], cfg: &SemisortConfig) -> (Vec<(u64, u64)>
 }
 
 fn exit_semisort_error(e: SemisortError) -> ! {
+    exit_error(e.kind(), e.exit_code(), &e.to_string())
+}
+
+/// Print one structured `{"event":"error",...}` line to stderr and exit
+/// with `code`.
+fn exit_error(kind: &str, code: i32, message: &str) -> ! {
     let line = Json::Obj(vec![
         ("event".into(), Json::str("error")),
-        ("kind".into(), Json::str(e.kind())),
-        ("exit_code".into(), Json::num(e.exit_code() as u64)),
-        ("message".into(), Json::Str(e.to_string())),
+        ("kind".into(), Json::str(kind)),
+        ("exit_code".into(), Json::num(code as u64)),
+        ("message".into(), Json::str(message)),
     ]);
     eprintln!("{line}");
-    std::process::exit(e.exit_code());
+    std::process::exit(code);
 }
 
 /// Parse `--telemetry` (default `off`).
@@ -291,12 +303,6 @@ fn print_stats(stats: &semisort::SemisortStats, scatter: ScatterStrategy) {
         eprintln!(
             "  blocks flushed {} | slab overflows {} | fallback records {}",
             stats.blocks_flushed, stats.slab_overflows, stats.fallback_records
-        );
-    }
-    if scatter == ScatterStrategy::InPlace {
-        eprintln!(
-            "  inplace cycles {} | swap buffer flushes {}",
-            stats.inplace_cycles, stats.swap_buffer_flushes
         );
     }
     for rc in &stats.telemetry.retry_causes {

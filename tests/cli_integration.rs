@@ -70,6 +70,29 @@ fn verify_rejects_unsorted_input() {
 }
 
 #[test]
+fn sort_rejects_a_partial_record_with_structured_error() {
+    // 20 bytes = one whole 16-byte record plus a 4-byte tail: a usage
+    // error (exit 2) with one structured line, not a panic (exit 101).
+    let data = tmp("partial.bin");
+    std::fs::write(&data, [7u8; 20]).unwrap();
+    let sorted = tmp("partial_sorted.bin");
+    let out = cli()
+        .args(["sort", "--input"])
+        .arg(&data)
+        .arg("--out")
+        .arg(&sorted)
+        .output()
+        .expect("run sort");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("\"event\":\"error\""), "stderr: {err}");
+    assert!(err.contains("\"kind\":\"invalid-input\""), "stderr: {err}");
+    assert!(err.contains("\"exit_code\":2"), "stderr: {err}");
+    assert!(!sorted.exists(), "no output file on a rejected input");
+    std::fs::remove_file(&data).ok();
+}
+
+#[test]
 fn sort_respects_thread_flag_and_stats() {
     let data = tmp("threads.bin");
     cli()

@@ -96,12 +96,10 @@ proptest! {
         delta in 4usize..65,
         block_log2 in 0u32..7,
         tail_log2 in 1u32..5,
-        swap_log2 in 0u32..7,
     ) {
         // Random configs across the paper's parameter neighbourhood
         // (p = 1/4 … 1/64, δ = 4 … 64), all three scatter paths, and the
-        // per-path knobs (block 1 … 64, tail 1/2 … 1/16, swap buffer
-        // 1 … 64).
+        // blocked path's knobs (block 1 … 64, tail 1/2 … 1/16).
         let cfg = SemisortConfig {
             seq_threshold: 32,
             sample_shift: shift,
@@ -114,7 +112,6 @@ proptest! {
                 ][strat_idx],
                 block: 1 << block_log2,
                 tail_log2,
-                swap_buffer: 1 << swap_log2,
                 ..ScatterConfig::default()
             },
             ..Default::default()
