@@ -12,7 +12,7 @@ const N: usize = 500_000;
 
 fn bench_ablation(c: &mut Criterion) {
     let records = generate(Distribution::Zipfian { m: 1_000_000 }, N, 1);
-    let base = SemisortConfig::default();
+    let base = bench::paper_config();
     let mut g = c.benchmark_group("ablation_zipf_500k");
     g.throughput(Throughput::Elements(N as u64));
 
@@ -103,7 +103,7 @@ fn bench_ablation(c: &mut Criterion) {
             SemisortConfig {
                 scatter: ScatterConfig {
                     prefetch_distance: 0,
-                    ..ScatterConfig::default()
+                    ..base.scatter
                 },
                 ..base
             },

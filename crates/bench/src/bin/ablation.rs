@@ -36,7 +36,7 @@ fn reuse_arm(args: &Args) {
     let n = args.n;
     let reps = args.reps.max(2); // need ≥1 steady-state call
     let threads = args.max_threads();
-    let cfg = SemisortConfig::default()
+    let cfg = bench::paper_config()
         .with_seed(args.seed)
         .with_telemetry(args.telemetry);
     let records = generate(
@@ -131,7 +131,7 @@ fn main() {
     for dist in [exp_dist, uni_dist] {
         println!("{}:", dist.label());
         let records = generate(dist, args.n, args.seed);
-        let base_cfg = SemisortConfig::default()
+        let base_cfg = bench::paper_config()
             .with_seed(args.seed)
             .with_telemetry(args.telemetry);
         let ((base_stats, base), eff) = with_threads(threads, || {
@@ -178,7 +178,7 @@ fn main() {
             SemisortConfig {
                 scatter: ScatterConfig {
                     strategy: ScatterStrategy::Blocked,
-                    ..ScatterConfig::default()
+                    ..base_cfg.scatter
                 },
                 ..base_cfg
             },
@@ -189,7 +189,7 @@ fn main() {
                 scatter: ScatterConfig {
                     strategy: ScatterStrategy::Blocked,
                     block: 64,
-                    ..ScatterConfig::default()
+                    ..base_cfg.scatter
                 },
                 ..base_cfg
             },
@@ -199,7 +199,7 @@ fn main() {
             SemisortConfig {
                 scatter: ScatterConfig {
                     strategy: ScatterStrategy::InPlace,
-                    ..ScatterConfig::default()
+                    ..base_cfg.scatter
                 },
                 ..base_cfg
             },
@@ -209,7 +209,7 @@ fn main() {
             SemisortConfig {
                 scatter: ScatterConfig {
                     prefetch_distance: 0,
-                    ..ScatterConfig::default()
+                    ..base_cfg.scatter
                 },
                 ..base_cfg
             },

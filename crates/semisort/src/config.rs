@@ -1,10 +1,13 @@
 //! Tuning parameters.
 //!
-//! Defaults follow §4 of the paper exactly: "We set the sampling probability
-//! p to be 1/16, and δ to be 16 … The number of light key buckets is set to
-//! be 2^16", with the estimator constant `c = 1.25` and the slack factor
-//! `1.1` from Phase 2 ("each bucket with s samples allocates an array of
-//! size 1.1·f(s) with c = 1.25, and rounded up to the nearest power of 2").
+//! The default constants follow §4 of the paper exactly: "We set the
+//! sampling probability p to be 1/16, and δ to be 16 … The number of light
+//! key buckets is set to be 2^16", with the estimator constant `c = 1.25`
+//! and the slack factor `1.1` from Phase 2 ("each bucket with s samples
+//! allocates an array of size 1.1·f(s) with c = 1.25, and rounded up to the
+//! nearest power of 2"). The default Phase 3 backend is
+//! [`ScatterStrategy::InPlace`], the stable counting scatter; the paper's
+//! CAS scatter is [`ScatterStrategy::RandomCas`], selected by name.
 
 pub use crate::fault::FaultPlan;
 pub use crate::obs::TelemetryLevel;
@@ -70,8 +73,9 @@ pub enum ProbeStrategy {
 /// How Phase 3 moves records into their buckets.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ScatterStrategy {
-    /// The paper's Phase 3: every record CASes into a random slot of its
-    /// bucket, probing on collision (see [`ProbeStrategy`]). The default.
+    /// The paper's Phase 3 (Algorithm 1): every record CASes into a random
+    /// slot of its bucket, probing on collision (see [`ProbeStrategy`]).
+    /// The paper-faithful reference that the `results/` tables measure.
     RandomCas,
     /// Block-buffered scatter: each worker classifies its chunk of records
     /// into per-bucket software write buffers and flushes full buffers with
@@ -85,7 +89,7 @@ pub enum ScatterStrategy {
     /// the output buffer. No slot array, no probing, no atomics, no Las
     /// Vegas overflow — scratch is O(buckets · workers) instead of O(n·α),
     /// and the output does not depend on the thread count or schedule.
-    /// See `inplace_scatter`.
+    /// The default. See `inplace_scatter`.
     InPlace,
 }
 
@@ -103,8 +107,9 @@ pub enum ScatterStrategy {
 /// | `prefetch_distance` |      ✓      |     ✓     |     –     |
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ScatterConfig {
-    /// Which Phase 3 implementation to run; default the paper's
-    /// [`ScatterStrategy::RandomCas`].
+    /// Which Phase 3 implementation to run; default
+    /// [`ScatterStrategy::InPlace`] (the paper's CAS scatter is
+    /// [`ScatterStrategy::RandomCas`]).
     pub strategy: ScatterStrategy,
     /// Records per per-worker write-buffer block in the blocked scatter;
     /// default 32 (512 bytes of `(u64, u64)` records — eight cache lines,
@@ -124,7 +129,7 @@ pub struct ScatterConfig {
 impl Default for ScatterConfig {
     fn default() -> Self {
         ScatterConfig {
-            strategy: ScatterStrategy::RandomCas,
+            strategy: ScatterStrategy::InPlace,
             block: 32,
             tail_log2: 3,
             prefetch_distance: 8,
@@ -150,8 +155,11 @@ pub enum LocalSortAlgo {
     StdStable,
 }
 
-/// Configuration for the semisort. `Default::default()` reproduces the
-/// paper's shipped constants.
+/// Configuration for the semisort. `Default::default()` uses the paper's
+/// shipped constants (p, δ, bucket count, α, c) with the
+/// [`ScatterStrategy::InPlace`] backend; set `scatter.strategy` to
+/// [`ScatterStrategy::RandomCas`] to run the paper's Algorithm 1 as
+/// published.
 #[derive(Clone, Copy, Debug)]
 pub struct SemisortConfig {
     /// Sampling probability is `1/2^sample_shift`; default 4 (p = 1/16).
@@ -200,10 +208,13 @@ pub struct SemisortConfig {
     /// exceeded, or the arena allocation fails; default
     /// [`OverflowPolicy::Fallback`] (degrade, never crash).
     pub overflow_policy: OverflowPolicy,
-    /// Upper bound in bytes on the scatter arena (slot array). α-doubling
-    /// across retries grows the arena; a plan whose arena would exceed this
-    /// budget triggers early degradation per `overflow_policy` instead of
-    /// an oversized allocation. Default `usize::MAX` (unlimited).
+    /// Upper bound in bytes on the scatter scratch: the arena (slot array)
+    /// of `RandomCas` / `Blocked`, the count matrix of `InPlace`.
+    /// α-doubling across retries grows the arena; a plan whose scratch would
+    /// exceed this budget triggers early degradation per `overflow_policy`
+    /// instead of an oversized allocation. Default `usize::MAX` (unlimited).
+    /// [`estimated_scratch_bytes`](crate::driver::estimated_scratch_bytes)
+    /// bounds the charge before a run.
     pub max_arena_bytes: usize,
     /// Upper bound in bytes on the scratch memory a
     /// [`Semisorter`](crate::engine::Semisorter) *retains between calls*
@@ -388,7 +399,8 @@ impl SemisortConfig {
 
 /// Validating builder for [`SemisortConfig`].
 ///
-/// Starts from `SemisortConfig::default()` (the paper's constants); each
+/// Starts from `SemisortConfig::default()` (the paper's constants, InPlace
+/// backend); each
 /// setter overrides one field; [`build`](Self::build) runs
 /// [`SemisortConfig::try_validate`] and returns
 /// `Err(SemisortError::InvalidConfig)` — rather than panicking — on bad
@@ -523,12 +535,29 @@ mod tests {
         assert!((c.c - 1.25).abs() < 1e-12);
         assert!(c.merge_light_buckets);
         assert_eq!(c.probe_strategy, ProbeStrategy::Linear);
-        assert_eq!(c.scatter.strategy, ScatterStrategy::RandomCas);
         assert_eq!(c.scatter.block, 32);
         assert_eq!(c.scatter.tail_log2, 3);
         assert_eq!(c.scatter.prefetch_distance, 8);
         assert_eq!(c.telemetry, TelemetryLevel::Off);
         c.validate();
+        // The paper's constants with its own backend are a valid config.
+        SemisortConfig {
+            scatter: ScatterConfig {
+                strategy: ScatterStrategy::RandomCas,
+                ..c.scatter
+            },
+            ..c
+        }
+        .validate();
+    }
+
+    #[test]
+    fn default_backend_is_in_place() {
+        assert_eq!(ScatterConfig::default().strategy, ScatterStrategy::InPlace);
+        assert_eq!(
+            SemisortConfig::default().scatter.strategy,
+            ScatterStrategy::InPlace
+        );
     }
 
     #[test]
@@ -678,12 +707,12 @@ mod tests {
     #[allow(deprecated)]
     fn deprecated_flat_setters_delegate() {
         let cfg = SemisortConfig::builder()
-            .scatter_strategy(ScatterStrategy::InPlace)
+            .scatter_strategy(ScatterStrategy::RandomCas)
             .scatter_block(64)
             .blocked_tail_log2(4)
             .build()
             .unwrap();
-        assert_eq!(cfg.scatter.strategy, ScatterStrategy::InPlace);
+        assert_eq!(cfg.scatter.strategy, ScatterStrategy::RandomCas);
         assert_eq!(cfg.scatter.block, 64);
         assert_eq!(cfg.scatter.tail_log2, 4);
         assert!(SemisortConfig::builder().scatter_block(12).build().is_err());

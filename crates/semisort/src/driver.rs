@@ -7,12 +7,14 @@ use rayon::prelude::*;
 use rayon::trace::SchedulerStats;
 
 use crate::blocked_scatter::blocked_scatter;
-use crate::buckets::build_plan;
+use crate::buckets::{build_plan, effective_prefix_bits};
 use crate::cancel::CancelToken;
 use crate::config::{OverflowPolicy, ScatterStrategy, SemisortConfig};
 use crate::error::SemisortError;
 use crate::fault::FaultPlan;
-use crate::inplace_scatter::{inplace_bytes, inplace_scatter, sort_light_regions};
+use crate::inplace_scatter::{
+    count_matrix_bytes, inplace_bytes, inplace_scatter, sort_light_regions,
+};
 use crate::local_sort::local_sort_light_buckets;
 use crate::obs::{log_event, log_event_kv, ObsSink, PhaseSpan, RetryCause, ScratchCounters};
 use crate::pack_phase::pack_output_into;
@@ -20,6 +22,46 @@ use crate::pool::ScratchPool;
 use crate::sample::strided_sample_by_into;
 use crate::scatter::{arena_bytes, scatter, Slot, EMPTY};
 use crate::stats::SemisortStats;
+
+/// Slots per record charged for the arena backends by
+/// [`estimated_scratch_bytes`]. Lemma 3.5 bounds the *expected* slot total
+/// by a constant factor of `n`; `space_is_linear` observes a blowup below
+/// 8, and an admission estimate wants an upper-ish figure that still
+/// admits real work.
+const ARENA_SLOTS_PER_RECORD_EST: usize = 4;
+
+/// The scatter scratch an `n`-record run of `cfg` on `workers` threads
+/// charges against [`SemisortConfig::max_arena_bytes`], computed before
+/// the run has sampled anything — what an admission gate can check at the
+/// door.
+///
+/// - [`ScatterStrategy::InPlace`]: an upper bound on the driver's charge
+///   ([`inplace_bytes`] of the real plan). A key is heavy only with at least
+///   δ sample hits, so there are at most `⌈n / 2^sample_shift⌉ / δ` heavy
+///   buckets, and merging never adds light buckets, so there are at most
+///   `2^effective_prefix_bits(n)` light ones.
+/// - `RandomCas` / `Blocked`: the arena at four `Slot<V>` per record, the
+///   expected-case size of Lemma 3.5. The real arena can be larger (skewed
+///   samples, α-doubling on retry); the driver checks the real plan before
+///   allocating, so this estimate only decides what is worth admitting.
+///
+/// Inputs at or below `cfg.seq_threshold` take the sort fallback and
+/// charge nothing.
+pub fn estimated_scratch_bytes<V>(n: usize, cfg: &SemisortConfig, workers: usize) -> usize {
+    if n <= cfg.seq_threshold {
+        return 0;
+    }
+    match cfg.scatter.strategy {
+        ScatterStrategy::InPlace => {
+            let max_heavy = n.div_ceil(cfg.sample_stride()) / cfg.heavy_threshold;
+            let max_light = 1usize << effective_prefix_bits(n, cfg.light_bucket_log2);
+            count_matrix_bytes(max_heavy + max_light, workers.max(1))
+        }
+        ScatterStrategy::RandomCas | ScatterStrategy::Blocked => n
+            .saturating_mul(ARENA_SLOTS_PER_RECORD_EST)
+            .saturating_mul(std::mem::size_of::<Slot<V>>()),
+    }
+}
 
 /// Semisort pre-hashed records. See [`try_semisort_core`] for details.
 #[deprecated(
@@ -625,7 +667,7 @@ mod tests {
 
     #[test]
     fn uniform_all_light() {
-        let cfg = SemisortConfig::default();
+        let cfg = with_strategy(ScatterStrategy::RandomCas);
         let recs: Vec<(u64, u64)> = (0..100_000u64).map(|i| (hash64(i), i)).collect();
         let stats = check(&recs, &cfg);
         assert_eq!(stats.heavy_records, 0, "all-distinct keys are never heavy");
@@ -661,7 +703,7 @@ mod tests {
 
     #[test]
     fn space_is_linear() {
-        let cfg = SemisortConfig::default();
+        let cfg = with_strategy(ScatterStrategy::RandomCas);
         let recs: Vec<(u64, u64)> = (0..200_000u64).map(|i| (hash64(i), i)).collect();
         let stats = check(&recs, &cfg);
         assert!(
@@ -676,7 +718,7 @@ mod tests {
         // CAS races make the exact permutation scheduling-dependent (as in
         // the paper's C++ code); what must hold at every thread count is
         // semisortedness + permutation.
-        let cfg = SemisortConfig::default();
+        let cfg = with_strategy(ScatterStrategy::RandomCas);
         let recs: Vec<(u64, u64)> = (0..60_000u64).map(|i| (hash64(i % 1000), i)).collect();
         for threads in [1usize, 2, 4] {
             let out = parlay::with_threads(threads, || try_semisort_core(&recs, &cfg).unwrap());
@@ -688,7 +730,7 @@ mod tests {
     #[test]
     fn single_thread_runs_are_reproducible() {
         // With one thread there are no CAS races, so seed ⇒ output exactly.
-        let cfg = SemisortConfig::default();
+        let cfg = with_strategy(ScatterStrategy::RandomCas);
         let recs: Vec<(u64, u64)> = (0..60_000u64).map(|i| (hash64(i % 1000), i)).collect();
         let a = parlay::with_threads(1, || try_semisort_core(&recs, &cfg).unwrap());
         let b = parlay::with_threads(1, || try_semisort_core(&recs, &cfg).unwrap());
@@ -697,9 +739,12 @@ mod tests {
 
     #[test]
     fn different_seeds_differ_but_both_valid() {
+        // The seed drives RandomCas's slot choices; InPlace's output does
+        // not depend on it.
+        let cfg = with_strategy(ScatterStrategy::RandomCas);
         let recs: Vec<(u64, u64)> = (0..60_000u64).map(|i| (hash64(i % 50), i)).collect();
-        let a = try_semisort_core(&recs, &SemisortConfig::default().with_seed(1)).unwrap();
-        let b = try_semisort_core(&recs, &SemisortConfig::default().with_seed(2)).unwrap();
+        let a = try_semisort_core(&recs, &cfg.with_seed(1)).unwrap();
+        let b = try_semisort_core(&recs, &cfg.with_seed(2)).unwrap();
         assert!(is_semisorted_by(&a, |r| r.0));
         assert!(is_semisorted_by(&b, |r| r.0));
         assert_ne!(a, b, "different seeds should shuffle differently");
@@ -717,14 +762,17 @@ mod tests {
 
     #[test]
     fn tight_alpha_retries_instead_of_failing() {
-        // α barely above 1 forces near-full buckets; the Las Vegas loop must
-        // still converge (by doubling α) and produce a valid semisort.
+        // α barely above 1 forces near-full buckets; the probe loop must
+        // still place every record, and any overflow must converge (by
+        // doubling α) to a valid semisort. Only an arena backend has
+        // slots to fill: InPlace counts exactly.
         let cfg = SemisortConfig {
             alpha: 1.01,
-            ..Default::default()
+            ..with_strategy(ScatterStrategy::RandomCas)
         };
         let recs: Vec<(u64, u64)> = (0..100_000u64).map(|i| (hash64(i), i)).collect();
-        check(&recs, &cfg);
+        let stats = check(&recs, &cfg);
+        assert!(!stats.degraded, "the Las Vegas loop converges in budget");
     }
 
     #[test]
@@ -832,6 +880,46 @@ mod tests {
         let (out, stats) = try_semisort_with_stats(&recs, &cfg).unwrap();
         assert_eq!(stats.heavy_records, recs.len());
         assert_eq!(out, recs);
+    }
+
+    #[test]
+    fn inplace_estimate_bounds_the_budget_charge() {
+        // A budget of exactly the a-priori estimate must never trip the
+        // driver's plan-time check, whatever the heavy/light mix.
+        let base = with_strategy(ScatterStrategy::InPlace);
+        assert_eq!(
+            estimated_scratch_bytes::<u64>(base.seq_threshold, &base, 4),
+            0
+        );
+        for threads in [1usize, 2, 4] {
+            parlay::with_threads(threads, || {
+                let workers = rayon::current_num_threads();
+                // Distinct keys; ~1 sample per key (none heavy); ~16 samples
+                // per key (as many heavy buckets as the sample allows);
+                // three keys.
+                for (n, keys) in [
+                    (20_000u64, 20_000u64),
+                    (100_000, 6_250),
+                    (100_000, 390),
+                    (100_000, 3),
+                ] {
+                    let recs: Vec<(u64, u64)> = (0..n).map(|i| (hash64(i % keys), i)).collect();
+                    let cfg = SemisortConfig {
+                        max_arena_bytes: estimated_scratch_bytes::<u64>(n as usize, &base, workers),
+                        overflow_policy: OverflowPolicy::Error,
+                        ..base
+                    };
+                    let stats = check(&recs, &cfg);
+                    assert!(!stats.degraded, "n={n} keys={keys} threads={threads}");
+                }
+            });
+        }
+        // The arena backends are charged at four slots per record.
+        let cas = with_strategy(ScatterStrategy::RandomCas);
+        assert_eq!(
+            estimated_scratch_bytes::<u64>(100_000, &cas, 4),
+            100_000 * 4 * std::mem::size_of::<Slot<u64>>()
+        );
     }
 
     #[test]

@@ -113,7 +113,15 @@ impl<V: Copy> SharedOut<V> {
 /// [`arena_bytes`](crate::scatter::arena_bytes) for the arena strategies:
 /// the count matrix (at most two rows per worker) plus the region bounds.
 pub fn inplace_bytes(plan: &BucketPlan, workers: usize) -> usize {
-    (plan.num_buckets() * (2 * workers + 1) + 1) * std::mem::size_of::<usize>()
+    count_matrix_bytes(plan.num_buckets(), workers)
+}
+
+/// [`inplace_bytes`] for a plan with `buckets` buckets.
+pub(crate) fn count_matrix_bytes(buckets: usize, workers: usize) -> usize {
+    buckets
+        .saturating_mul(2 * workers + 1)
+        .saturating_add(1)
+        .saturating_mul(std::mem::size_of::<usize>())
 }
 
 /// Scatter `records` into `out` so every record sits inside its bucket's

@@ -124,9 +124,12 @@ pub use config::{
     LocalSortAlgo, OverflowPolicy, ProbeStrategy, ScatterConfig, ScatterStrategy, SemisortConfig,
     SemisortConfigBuilder,
 };
+pub use driver::{
+    estimated_scratch_bytes, try_semisort_core, try_semisort_with_stats,
+    try_semisort_with_stats_cancellable,
+};
 #[allow(deprecated)]
 pub use driver::{semisort_core, semisort_with_stats};
-pub use driver::{try_semisort_core, try_semisort_with_stats, try_semisort_with_stats_cancellable};
 pub use engine::Semisorter;
 pub use error::{DegradeReason, SemisortError};
 pub use fault::{FaultClass, FaultPlan};

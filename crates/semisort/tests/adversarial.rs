@@ -115,8 +115,14 @@ fn saw_tooth_arrangement_defeats_strided_sampling_bias() {
 
 #[test]
 fn tiny_alpha_large_skew_converges_via_retries() {
+    // RandomCas: only an arena backend can overflow (InPlace counts
+    // exactly), so this is the backend whose retries must converge.
     let cfg = SemisortConfig {
         alpha: 1.001,
+        scatter: ScatterConfig {
+            strategy: ScatterStrategy::RandomCas,
+            ..ScatterConfig::default()
+        },
         ..Default::default()
     };
     let recs: Vec<(u64, u64)> = (0..100_000u64)

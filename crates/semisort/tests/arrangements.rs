@@ -3,7 +3,9 @@
 //! fixes the distribution, so this matrix covers what it leaves open.
 
 use semisort::verify::{is_permutation_of, is_semisorted_by};
-use semisort::{try_semisort_pairs, try_semisort_with_stats, SemisortConfig};
+use semisort::{
+    try_semisort_pairs, try_semisort_with_stats, ScatterConfig, ScatterStrategy, SemisortConfig,
+};
 use workloads::{generate, Arrangement, Distribution};
 
 const N: usize = 80_000;
@@ -62,7 +64,14 @@ fn heavy_classification_is_arrangement_insensitive_for_clear_cases() {
 fn presorted_input_is_not_a_pathology() {
     // Sorted input aligns key runs with sampling strides; time and space
     // must stay in family with the random arrangement (no quadratic cliff).
-    let cfg = SemisortConfig::default();
+    // RandomCas: the backend whose slot arena and retries are checked.
+    let cfg = SemisortConfig {
+        scatter: ScatterConfig {
+            strategy: ScatterStrategy::RandomCas,
+            ..ScatterConfig::default()
+        },
+        ..SemisortConfig::default()
+    };
     let dist = Distribution::Zipfian { m: 5_000 };
     let mut random_in = generate(dist, N, 2);
     let mut sorted_in = random_in.clone();

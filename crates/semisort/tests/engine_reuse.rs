@@ -108,7 +108,16 @@ fn by_key_surface_matches_one_shot_api() {
 /// and a stable `scratch_bytes_held`.
 #[test]
 fn grows_stabilize_after_high_water_mark() {
-    let mut engine = Semisorter::new(SemisortConfig::default()).unwrap();
+    // RandomCas: the slot arena is the scratch that scales with n, so the
+    // 4× input below is guaranteed to raise the high-water mark.
+    let cfg = SemisortConfig {
+        scatter: ScatterConfig {
+            strategy: ScatterStrategy::RandomCas,
+            ..ScatterConfig::default()
+        },
+        ..SemisortConfig::default()
+    };
+    let mut engine = Semisorter::new(cfg).unwrap();
     let big = workload(60_000, 0);
     engine.sort_pairs(&big).unwrap();
     assert!(

@@ -339,10 +339,11 @@ fn faulted_runs_are_deterministic() {
 fn seq_threshold_fallback_is_quiet_and_correct() {
     // Inputs at or below seq_threshold never touch the Las Vegas machinery:
     // correct output, all records counted light, zero retries, and — at
-    // TelemetryLevel::Off — completely inert telemetry.
+    // TelemetryLevel::Off — completely inert telemetry. RandomCas: the
+    // backend with a Las Vegas loop and CAS counters to leave untouched.
     let cfg = SemisortConfig {
         telemetry: TelemetryLevel::Off,
-        ..Default::default()
+        ..cfg(ScatterStrategy::RandomCas, "")
     };
     let recs: Vec<(u64, u64)> = (0..cfg.seq_threshold as u64)
         .map(|i| (hash64(i % 7), i))
@@ -366,7 +367,7 @@ fn reserved_key_fallback_is_quiet_and_correct() {
     for sentinel in [semisort::scatter::EMPTY, parlay::hash_table::EMPTY] {
         let cfg = SemisortConfig {
             telemetry: TelemetryLevel::Off,
-            ..Default::default()
+            ..cfg(ScatterStrategy::RandomCas, "")
         };
         let mut recs: Vec<(u64, u64)> = (0..50_000u64).map(|i| (hash64(i % 100), i)).collect();
         recs[12_345].0 = sentinel;

@@ -40,9 +40,15 @@ const N: usize = if cfg!(miri) { 2_000 } else { 32_000 };
 
 /// A config whose sequential cutoff and heavy threshold sit far below
 /// [`N`], so the suite runs the real five-phase pipeline (with both bucket
-/// classes populated), not the fallback sort.
+/// classes populated), not the fallback sort. It names the CAS scatter —
+/// the slot arena, probing and pack are what the unsafe core holds — and
+/// the blocked and in-place tests override the strategy.
 fn small_cfg() -> SemisortConfig {
     SemisortConfig::builder()
+        .scatter(ScatterConfig {
+            strategy: ScatterStrategy::RandomCas,
+            ..ScatterConfig::default()
+        })
         .seq_threshold(64)
         .heavy_threshold(2)
         .seed(0x13_5eed)

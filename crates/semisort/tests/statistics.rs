@@ -5,11 +5,24 @@
 
 use parlay::random::Rng;
 use semisort::estimate::{bucket_capacity, f_estimate};
-use semisort::{try_semisort_with_stats, SemisortConfig};
+use semisort::{try_semisort_with_stats, ScatterConfig, ScatterStrategy, SemisortConfig};
 use workloads::{generate, Distribution};
 
 const P: f64 = 1.0 / 16.0;
 const C: f64 = 1.25;
+
+/// The paper's constants with its CAS scatter: the end-to-end checks below
+/// measure the slot arena and its overflow retries, which only the arena
+/// backends have.
+fn paper_cfg() -> SemisortConfig {
+    SemisortConfig {
+        scatter: ScatterConfig {
+            strategy: ScatterStrategy::RandomCas,
+            ..ScatterConfig::default()
+        },
+        ..SemisortConfig::default()
+    }
+}
 
 /// Binomially sample `nu` records at rate `P` with stream `rng`.
 fn sample_count(nu: usize, rng: Rng) -> usize {
@@ -62,7 +75,7 @@ fn estimator_is_not_vacuously_loose() {
 fn lemma_3_5_linear_space_under_generated_workloads() {
     // End-to-end: measured slot blowup stays bounded on a spread of real
     // workload shapes and sizes.
-    let cfg = SemisortConfig::default();
+    let cfg = paper_cfg();
     for &n in &[50_000usize, 150_000, 400_000] {
         for dist in [
             Distribution::Uniform { n: n as u64 },
@@ -92,7 +105,7 @@ fn capacity_overflow_probability_is_tiny_in_practice() {
     let records = generate(Distribution::Zipfian { m: 50_000 }, 100_000, 3);
     let mut total_retries = 0;
     for seed in 0..20u64 {
-        let cfg = SemisortConfig::default().with_seed(seed);
+        let cfg = paper_cfg().with_seed(seed);
         let (_, stats) = try_semisort_with_stats(&records, &cfg).unwrap();
         total_retries += stats.retries;
     }

@@ -279,11 +279,20 @@ fn deep_probe_hist_mass_sits_low_for_uniform_input() {
     // probe lengths 0–3).
     let records: Vec<(u64, u64)> = (0..200_000u64).map(|i| (hash64(i), i)).collect();
     let cfg = SemisortConfig {
+        scatter: ScatterConfig {
+            strategy: ScatterStrategy::RandomCas,
+            ..ScatterConfig::default()
+        },
         telemetry: TelemetryLevel::Deep,
         ..Default::default()
     };
     let (_, stats) = try_semisort_with_stats(&records, &cfg).unwrap();
     let h = &stats.telemetry.probe_hist;
+    assert_eq!(
+        h.count(),
+        records.len() as u64,
+        "one probe length per record"
+    );
     let low: u64 = h.buckets[..3].iter().sum();
     assert!(
         low * 10 >= h.count() * 9,

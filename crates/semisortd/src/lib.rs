@@ -11,7 +11,7 @@
 //! [`semisort::Semisorter`] pinned to its own worker thread with a warm
 //! scratch pool and a bounded request queue. Connections (TCP or stdio)
 //! speak the length-prefixed protocol of [`proto`]; each parsed request
-//! passes **admission control** (drain state, request-size cap, arena-byte
+//! passes **admission control** (drain state, request-size cap, scratch-byte
 //! estimate, queue capacity) before it may touch an engine. Requests that
 //! fail admission are *shed* with a structured `overloaded` error —
 //! the server never queues unboundedly and never blocks the accept path on
@@ -27,7 +27,9 @@
 //! 3. **Deadlined** — admitted but its per-request deadline expired; the
 //!    engine's [`semisort::CancelToken`] is polled at phase boundaries,
 //!    so the run aborts all-or-nothing and the client gets
-//!    `deadline-exceeded` (not retried: the answer is already late).
+//!    `deadline-exceeded` (not retried: the answer is already late). The
+//!    default InPlace backend commits once its scatter starts: a deadline
+//!    that expires after that point completes the request instead.
 //! 4. **Poisoned** — the engine panicked mid-run. `catch_unwind` contains
 //!    the unwind, the request fails with `engine-poisoned`, and the shard
 //!    transparently **rebuilds** a fresh engine before its next request.

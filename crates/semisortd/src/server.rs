@@ -10,10 +10,11 @@
 //! 1. **drain state** — a draining server admits nothing new;
 //! 2. **request-size cap** — `max_request_records` bounds one request's
 //!    memory before anything is allocated for it;
-//! 3. **arena estimate** — the request's projected scatter-arena demand
-//!    (slot size × blowup bound) is checked against the engine's
-//!    `max_arena_bytes` budget: work that would be rejected by the engine
-//!    mid-run is cheaper to reject at the door;
+//! 3. **scratch estimate** — the request's projected scatter scratch for
+//!    the engine's backend ([`semisort::estimated_scratch_bytes`]: the
+//!    InPlace count matrix, or the arena of the CAS backends) is checked
+//!    against the engine's `max_arena_bytes` budget: work that would be
+//!    rejected by the engine mid-run is cheaper to reject at the door;
 //! 4. **queue capacity** — a bounded `sync_channel` per shard; `try_send`
 //!    round-robins across shards and a full sweep means the server is
 //!    saturated — shed, don't buffer.
@@ -36,19 +37,12 @@ use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use semisort::obs::{epoch_micros, log_event_kv, ServiceCounters};
-use semisort::scatter::Slot;
-use semisort::{SemisortConfig, SemisortError, SemisortStats, Semisorter};
+use semisort::{estimated_scratch_bytes, SemisortConfig, SemisortError, SemisortStats, Semisorter};
 
 use crate::faults::ServiceFaultPlan;
 use crate::proto::{
     read_frame, write_frame, Op, Request, Response, CODE_INVALID_REQUEST, KIND_INVALID_REQUEST,
 };
-
-/// Conservative slots-per-record blowup used by the admission estimate.
-/// Lemma 3.5 bounds the *expected* slot total by a constant factor of `n`;
-/// the repo's `space_is_linear` test observes blowup < 8, and admission
-/// wants an upper-ish bound that still admits real work.
-const ARENA_BLOWUP_EST: u64 = 4;
 
 /// How the server is sized and what it injects.
 #[derive(Clone, Copy, Debug)]
@@ -327,12 +321,6 @@ fn invalid_request(message: &str) -> Response {
     }
 }
 
-/// The projected scatter-arena demand of an `n`-record request, for
-/// admission rung 3.
-fn estimated_arena_bytes(n: usize) -> u64 {
-    (n as u64).saturating_mul(std::mem::size_of::<Slot<u64>>() as u64 * ARENA_BLOWUP_EST)
-}
-
 fn serve_session<S: Read + Write>(
     stream: &mut S,
     inner: &Inner,
@@ -412,9 +400,12 @@ fn admit_and_run(
     }
     let budget = inner.cfg.engine.max_arena_bytes;
     if budget != usize::MAX {
-        let required = estimated_arena_bytes(n);
-        if required > budget as u64 {
-            return shed("arena-budget", required, budget as u64);
+        // The shard engines run on the global pool, which this session
+        // thread (outside any pool) reports.
+        let workers = bench::trajectory::effective_threads();
+        let required = estimated_scratch_bytes::<u64>(n, &inner.cfg.engine, workers);
+        if required > budget {
+            return shed("arena-budget", required as u64, budget as u64);
         }
     }
     let deadline_us = (req.deadline_ms > 0)

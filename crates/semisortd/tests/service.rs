@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use semisort::SemisortConfig;
+use semisort::{estimated_scratch_bytes, ScatterConfig, ScatterStrategy, SemisortConfig};
 use semisortd::{
     Client, ClientError, Op, Request, Response, RetryPolicy, Server, ServerConfig, ServiceFaultPlan,
 };
@@ -139,15 +139,29 @@ fn oversized_requests_shed_with_structured_overloaded() {
 
 #[test]
 fn arena_budget_gates_admission() {
-    // Budget below the 4-slots-per-record estimate for 4096 records: the
-    // request is rejected at the door, deterministically, without running.
-    let mut engine = small_engine();
-    engine.max_arena_bytes = 4096; // far below estimate for 4096 records
+    // One budget, two backends. By the admission estimate, 4096 records
+    // need 4 arena slots each under RandomCas (256 KiB) but only a count
+    // matrix under InPlace (a few KiB), so a 64 KiB budget sheds the first
+    // at the door and admits the second.
+    let n = 4096;
+    let budget = 64 << 10;
+    let workers = bench::trajectory::effective_threads();
+    let with_backend = |strategy: ScatterStrategy| SemisortConfig {
+        scatter: ScatterConfig {
+            strategy,
+            ..ScatterConfig::default()
+        },
+        max_arena_bytes: budget,
+        ..small_engine()
+    };
+
+    let cas = with_backend(ScatterStrategy::RandomCas);
+    assert!(estimated_scratch_bytes::<u64>(n, &cas, workers) > budget);
     let (server, mut client) = start(ServerConfig {
-        engine,
+        engine: cas,
         ..ServerConfig::default()
     });
-    match client.semisort(sample_records(4096), 0) {
+    match client.semisort(sample_records(n), 0) {
         Err(ClientError::Server { kind, message, .. }) => {
             assert_eq!(kind, "overloaded");
             assert!(message.contains("arena-budget"), "message: {message}");
@@ -157,6 +171,24 @@ fn arena_budget_gates_admission() {
     // A request small enough to fit the budget is served (it also fits
     // seq_threshold, so the engine never allocates a big arena).
     assert!(client.semisort(sample_records(32), 0).is_ok());
+    server.drain_and_stop();
+
+    let inplace = with_backend(ScatterStrategy::InPlace);
+    assert!(estimated_scratch_bytes::<u64>(n, &inplace, workers) <= budget);
+    let (server, mut client) = start(ServerConfig {
+        engine: inplace,
+        ..ServerConfig::default()
+    });
+    let records = sample_records(n);
+    match client.semisort(records.clone(), 0).expect("in budget") {
+        Response::Records(out) => {
+            assert_eq!(out.len(), records.len());
+            assert_grouped(&out);
+        }
+        other => panic!("wrong reply: {other:?}"),
+    }
+    let snap = server.counters();
+    assert_eq!((snap.shed_overload, snap.admitted), (0, 1));
     server.drain_and_stop();
 }
 

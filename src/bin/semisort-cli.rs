@@ -50,7 +50,7 @@
 //! calls (`sort` and `bench`).
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{Read, Write};
 use std::time::Instant;
 
 use semisort::{
@@ -148,46 +148,71 @@ fn parse_dist(s: &str) -> Distribution {
     }
 }
 
+/// Bytes moved per `read`/`write` call by the record codec: a whole number
+/// of 16-byte records, small enough to stay in cache between the syscall
+/// and the decode/encode loop.
+const IO_CHUNK: usize = 1 << 16;
+
+/// Read a record file in one pass: bytes arrive through a fixed
+/// `IO_CHUNK` buffer and are decoded straight into a record vector
+/// pre-sized from the file length (a pipe reports no length; the vector
+/// then grows as it goes). A trailing partial record is a structured
+/// `invalid-input` error (exit 2), whether or not the length was known.
 fn read_records(path: &str) -> Vec<(u64, u64)> {
-    let f = File::open(path).unwrap_or_else(|e| {
+    let mut f = File::open(path).unwrap_or_else(|e| {
         eprintln!("cannot open {path}: {e}");
         std::process::exit(1);
     });
-    let mut r = BufReader::new(f);
-    let mut bytes = Vec::new();
-    r.read_to_end(&mut bytes).expect("read failed");
-    if bytes.len() % 16 != 0 {
-        exit_error(
-            "invalid-input",
-            2,
-            &format!(
-                "{path}: {} bytes is not a whole number of 16-byte records",
-                bytes.len()
-            ),
-        );
-    }
-    bytes
-        .chunks_exact(16)
-        .map(|c| {
+    let len_hint = f.metadata().map_or(0, |m| m.len() as usize);
+    let mut records = Vec::with_capacity(len_hint / 16);
+    let mut buf = vec![0u8; IO_CHUNK];
+    let mut filled = 0usize;
+    let mut total = 0usize;
+    loop {
+        let got = match f.read(&mut buf[filled..]) {
+            Ok(0) => break,
+            Ok(k) => k,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => panic!("read failed: {e}"),
+        };
+        filled += got;
+        total += got;
+        let whole = filled - filled % 16;
+        records.extend(buf[..whole].chunks_exact(16).map(|c| {
             (
                 u64::from_le_bytes(c[..8].try_into().unwrap()),
                 u64::from_le_bytes(c[8..].try_into().unwrap()),
             )
-        })
-        .collect()
+        }));
+        buf.copy_within(whole..filled, 0);
+        filled -= whole;
+    }
+    if filled != 0 {
+        exit_error(
+            "invalid-input",
+            2,
+            &format!("{path}: {total} bytes is not a whole number of 16-byte records"),
+        );
+    }
+    records
 }
 
+/// Write records through one reused `IO_CHUNK` encode buffer: one
+/// `write_all` per chunk of records.
 fn write_records(path: &str, records: &[(u64, u64)]) {
-    let f = File::create(path).unwrap_or_else(|e| {
+    let mut f = File::create(path).unwrap_or_else(|e| {
         eprintln!("cannot create {path}: {e}");
         std::process::exit(1);
     });
-    let mut w = BufWriter::new(f);
-    for &(k, v) in records {
-        w.write_all(&k.to_le_bytes()).expect("write failed");
-        w.write_all(&v.to_le_bytes()).expect("write failed");
+    let mut buf = Vec::with_capacity(IO_CHUNK);
+    for chunk in records.chunks(IO_CHUNK / 16) {
+        buf.clear();
+        for &(k, v) in chunk {
+            buf.extend_from_slice(&k.to_le_bytes());
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
+        f.write_all(&buf).expect("write failed");
     }
-    w.flush().expect("flush failed");
 }
 
 fn generate(flags: &Flags) {
@@ -208,9 +233,12 @@ fn generate(flags: &Flags) {
     );
 }
 
-/// Parse `--scatter` (default `random-cas`).
+/// Parse `--scatter` (default: the library's, `ScatterConfig::default()`).
 fn parse_scatter(flags: &Flags) -> ScatterStrategy {
-    match flags.get("scatter").unwrap_or("random-cas") {
+    let Some(name) = flags.get("scatter") else {
+        return ScatterConfig::default().strategy;
+    };
+    match name {
         "random-cas" | "cas" => ScatterStrategy::RandomCas,
         "blocked" => ScatterStrategy::Blocked,
         "inplace" | "in-place" => ScatterStrategy::InPlace,

@@ -90,6 +90,72 @@ fn sort_rejects_a_partial_record_with_structured_error() {
     assert!(err.contains("\"exit_code\":2"), "stderr: {err}");
     assert!(!sorted.exists(), "no output file on a rejected input");
     std::fs::remove_file(&data).ok();
+
+    // The same through a pipe, where the length is not known up front:
+    // 1000 whole records and a 5-byte tail.
+    let mut bytes = vec![7u8; 16_000];
+    bytes.extend_from_slice(&[9u8; 5]);
+    let (out, sorted) = sort_from_pipe(bytes, 4096, "pipe_partial_sorted.bin");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("\"kind\":\"invalid-input\""), "stderr: {err}");
+    assert!(err.contains("16005 bytes"), "stderr: {err}");
+    assert!(!sorted.exists(), "no output file on a rejected input");
+}
+
+/// Run `semisort-cli sort --input /dev/stdin` fed through a pipe, which
+/// reports no length up front, writing `bytes` in `piece`-byte writes.
+/// Returns the process output and the output path.
+fn sort_from_pipe(bytes: Vec<u8>, piece: usize, name: &str) -> (std::process::Output, PathBuf) {
+    let sorted = tmp(name);
+    let mut child = cli()
+        .args(["sort", "--input", "/dev/stdin", "--out"])
+        .arg(&sorted)
+        .stdin(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn sort");
+    let mut stdin = child.stdin.take().unwrap();
+    let writer = std::thread::spawn(move || {
+        use std::io::Write;
+        for chunk in bytes.chunks(piece) {
+            // The child may exit before reading everything; stop on EPIPE.
+            if stdin.write_all(chunk).and_then(|()| stdin.flush()).is_err() {
+                break;
+            }
+        }
+    });
+    let out = child.wait_with_output().expect("sort");
+    writer.join().unwrap();
+    (out, sorted)
+}
+
+#[test]
+fn sort_decodes_records_split_across_pipe_reads() {
+    // 20k records written 1000 bytes at a time (not a multiple of 16), so
+    // reads end mid-record and the reader must carry the partial bytes.
+    let records: Vec<u8> = (0..20_000u64)
+        .flat_map(|i| {
+            let mut r = (i % 7 + 1).to_le_bytes().to_vec();
+            r.extend_from_slice(&i.to_le_bytes());
+            r
+        })
+        .collect();
+    let (out, sorted) = sort_from_pipe(records.clone(), 1000, "pipe_sorted.bin");
+    assert!(out.status.success(), "{out:?}");
+    let got = std::fs::read(&sorted).unwrap();
+    let mut want_recs: Vec<&[u8]> = records.chunks(16).collect();
+    let mut got_recs: Vec<&[u8]> = got.chunks(16).collect();
+    want_recs.sort_unstable();
+    got_recs.sort_unstable();
+    assert_eq!(want_recs, got_recs, "output is a permutation of the input");
+    let verified = cli()
+        .args(["verify", "--input"])
+        .arg(&sorted)
+        .status()
+        .expect("verify");
+    assert!(verified.success(), "pipe output is not semisorted");
+    std::fs::remove_file(&sorted).ok();
 }
 
 #[test]
@@ -254,17 +320,30 @@ fn bench_appends_trajectory_records() {
     std::fs::remove_file(&traj).ok();
 }
 
-#[test]
-fn trace_emits_a_perfetto_loadable_file() {
-    let trace = tmp("run.trace.json");
+/// The phase spans Algorithm 1 (RandomCas) records, in order; the default
+/// InPlace backend records all but `pack`.
+const PHASES: [&str; 5] = [
+    "sample_sort",
+    "construct_buckets",
+    "scatter",
+    "local_sort",
+    "pack",
+];
+
+/// Run `semisort-cli trace` (plus `extra` flags) on 200k records at two
+/// threads and return the parsed trace's events, after checking the
+/// Chrome Trace Event Format essentials: every event has ph/pid/tid.
+fn trace_events(trace: &PathBuf, extra: &[&str]) -> Vec<semisort::Json> {
     let status = cli()
-        .args(["trace", "--n", "200k", "--threads", "2", "--out"])
-        .arg(&trace)
+        .args(["trace", "--n", "200k", "--threads", "2"])
+        .args(extra)
+        .arg("--out")
+        .arg(trace)
         .status()
         .expect("trace");
     assert!(status.success());
 
-    let text = std::fs::read_to_string(&trace).expect("trace file written");
+    let text = std::fs::read_to_string(trace).expect("trace file written");
     let doc = semisort::Json::parse(&text).expect("trace file is valid JSON");
     assert_eq!(
         doc.get("schema").and_then(semisort::Json::as_str),
@@ -273,26 +352,32 @@ fn trace_emits_a_perfetto_loadable_file() {
     let events = doc
         .get("traceEvents")
         .and_then(semisort::Json::as_arr)
-        .expect("traceEvents array");
-    // Chrome Trace Event Format essentials: every event has ph/pid/tid,
-    // and the five phase spans appear as "X" duration slices.
-    for e in events {
+        .expect("traceEvents array")
+        .to_vec();
+    for e in &events {
         assert!(e.get("ph").and_then(semisort::Json::as_str).is_some());
         assert!(e.get("pid").and_then(semisort::Json::as_u64).is_some());
         assert!(e.get("tid").and_then(semisort::Json::as_u64).is_some());
     }
-    for phase in [
-        "sample_sort",
-        "construct_buckets",
-        "scatter",
-        "local_sort",
-        "pack",
-    ] {
+    events
+}
+
+/// Whether `events` holds an "X" duration slice named `phase`.
+fn has_phase_span(events: &[semisort::Json], phase: &str) -> bool {
+    events.iter().any(|e| {
+        e.get("name").and_then(semisort::Json::as_str) == Some(phase)
+            && e.get("ph").and_then(semisort::Json::as_str) == Some("X")
+    })
+}
+
+#[test]
+fn trace_emits_a_perfetto_loadable_file() {
+    let trace = tmp("run.trace.json");
+    // The paper's backend: all five phase spans.
+    let events = trace_events(&trace, &["--scatter", "random-cas"]);
+    for phase in PHASES {
         assert!(
-            events.iter().any(|e| {
-                e.get("name").and_then(semisort::Json::as_str) == Some(phase)
-                    && e.get("ph").and_then(semisort::Json::as_str) == Some("X")
-            }),
+            has_phase_span(&events, phase),
             "phase span {phase} missing from trace"
         );
     }
@@ -314,6 +399,20 @@ fn trace_emits_a_perfetto_loadable_file() {
         .status()
         .expect("validate");
     assert!(status.success());
+
+    // The default backend (InPlace) scatters straight into the output:
+    // four phase spans, no pack.
+    let events = trace_events(&trace, &[]);
+    for phase in &PHASES[..4] {
+        assert!(
+            has_phase_span(&events, phase),
+            "phase span {phase} missing from default-path trace"
+        );
+    }
+    assert!(
+        !has_phase_span(&events, "pack"),
+        "the default path has no pack phase"
+    );
     std::fs::remove_file(&trace).ok();
 }
 
@@ -481,26 +580,40 @@ fn semisort_log_emits_span_lines() {
         .status()
         .expect("generate");
     let sorted = tmp("log_sorted.bin");
-    let out = cli()
-        .env("SEMISORT_LOG", "1")
-        .args(["sort", "--input"])
-        .arg(&data)
-        .arg("--out")
-        .arg(&sorted)
-        .output()
-        .expect("sort");
-    assert!(out.status.success());
-    let err = String::from_utf8_lossy(&out.stderr);
-    for phase in [
-        "sample_sort",
-        "construct_buckets",
-        "scatter",
-        "local_sort",
-        "pack",
-    ] {
-        let needle = format!("{{\"event\":\"span\",\"name\":\"{phase}\"");
-        assert!(err.contains(&needle), "missing span for {phase}: {err}");
+    let logged_sort = |extra: &[&str]| {
+        let out = cli()
+            .env("SEMISORT_LOG", "1")
+            .args(["sort", "--input"])
+            .arg(&data)
+            .arg("--out")
+            .arg(&sorted)
+            .args(extra)
+            .output()
+            .expect("sort");
+        assert!(out.status.success());
+        String::from_utf8_lossy(&out.stderr).into_owned()
+    };
+    let span = |phase: &str| format!("{{\"event\":\"span\",\"name\":\"{phase}\"");
+    // The paper's backend logs all five phases.
+    let err = logged_sort(&["--scatter", "random-cas"]);
+    for phase in PHASES {
+        assert!(
+            err.contains(&span(phase)),
+            "missing span for {phase}: {err}"
+        );
     }
+    // The default backend logs four: no pack.
+    let err = logged_sort(&[]);
+    for phase in &PHASES[..4] {
+        assert!(
+            err.contains(&span(phase)),
+            "missing span for {phase}: {err}"
+        );
+    }
+    assert!(
+        !err.contains(&span("pack")),
+        "default path logged a pack: {err}"
+    );
     std::fs::remove_file(&data).ok();
     std::fs::remove_file(&sorted).ok();
 }

@@ -1,10 +1,22 @@
 //! Structural claims from the paper, checked as tests (the *shape* facts
-//! that don't need a 40-core machine).
+//! that don't need a 40-core machine). Every run uses the paper's own
+//! Phase 3, `RandomCas` (Algorithm 1), not the library's default backend.
 
-use semisort::{try_semisort_with_stats, SemisortConfig};
+use semisort::{try_semisort_with_stats, ScatterConfig, ScatterStrategy, SemisortConfig};
 use workloads::{generate, paper_distributions, representative_distributions, Distribution};
 
 const N: usize = 200_000;
+
+/// The paper's constants with its CAS scatter.
+fn paper_cfg() -> SemisortConfig {
+    SemisortConfig {
+        scatter: ScatterConfig {
+            strategy: ScatterStrategy::RandomCas,
+            ..ScatterConfig::default()
+        },
+        ..SemisortConfig::default()
+    }
+}
 
 /// §5.1: the representative exponential distribution (λ = n/10³) "contains
 /// about 30% light keys and 70% heavy keys".
@@ -12,7 +24,7 @@ const N: usize = 200_000;
 fn representative_exponential_is_about_70pct_heavy() {
     let (exp_dist, _) = representative_distributions(N);
     let records = generate(exp_dist, N, 1);
-    let (_, stats) = try_semisort_with_stats(&records, &SemisortConfig::default()).unwrap();
+    let (_, stats) = try_semisort_with_stats(&records, &paper_cfg()).unwrap();
     let pct = stats.heavy_fraction_pct();
     assert!(
         (60.0..85.0).contains(&pct),
@@ -26,7 +38,7 @@ fn representative_exponential_is_about_70pct_heavy() {
 fn representative_uniform_is_all_light() {
     let (_, uni_dist) = representative_distributions(N);
     let records = generate(uni_dist, N, 1);
-    let (_, stats) = try_semisort_with_stats(&records, &SemisortConfig::default()).unwrap();
+    let (_, stats) = try_semisort_with_stats(&records, &paper_cfg()).unwrap();
     assert_eq!(stats.heavy_records, 0);
     assert_eq!(stats.heavy_keys, 0);
 }
@@ -36,7 +48,7 @@ fn representative_uniform_is_all_light() {
 /// parameters far below n give ~100% heavy, parameters at/above n give ~0%.
 #[test]
 fn heavy_fraction_extremes_match_table1() {
-    let cfg = SemisortConfig::default();
+    let cfg = paper_cfg();
     // uniform(10): every key duplicated n/10 times — 100% heavy.
     let recs = generate(Distribution::Uniform { n: 10 }, N, 2);
     let (_, s) = try_semisort_with_stats(&recs, &cfg).unwrap();
@@ -68,7 +80,7 @@ fn heavy_fraction_extremes_match_table1() {
 /// bucket count; with the paper's constants it is < 10).
 #[test]
 fn space_blowup_bounded_on_all_distributions() {
-    let cfg = SemisortConfig::default();
+    let cfg = paper_cfg();
     for pd in paper_distributions() {
         let records = generate(pd.dist, N, 3);
         let (_, stats) = try_semisort_with_stats(&records, &cfg).unwrap();
@@ -85,7 +97,7 @@ fn space_blowup_bounded_on_all_distributions() {
 #[test]
 fn sample_size_is_n_over_16() {
     let records = generate(Distribution::Uniform { n: 1 << 30 }, N, 4);
-    let (_, stats) = try_semisort_with_stats(&records, &SemisortConfig::default()).unwrap();
+    let (_, stats) = try_semisort_with_stats(&records, &paper_cfg()).unwrap();
     assert_eq!(stats.sample_size, N.div_ceil(16));
 }
 
@@ -95,7 +107,7 @@ fn sample_size_is_n_over_16() {
 #[test]
 fn merged_light_bucket_count_is_bounded_by_sample() {
     let records = generate(Distribution::Uniform { n: 1 << 40 }, N, 5);
-    let (_, stats) = try_semisort_with_stats(&records, &SemisortConfig::default()).unwrap();
+    let (_, stats) = try_semisort_with_stats(&records, &paper_cfg()).unwrap();
     let bound = stats.sample_size / 16 + 1;
     assert!(
         stats.light_buckets <= bound,
@@ -109,7 +121,7 @@ fn merged_light_bucket_count_is_bounded_by_sample() {
 /// prevent overflow on all of our inputs").
 #[test]
 fn no_retries_on_any_paper_distribution() {
-    let cfg = SemisortConfig::default();
+    let cfg = paper_cfg();
     for pd in paper_distributions() {
         let records = generate(pd.dist, N, 6);
         let (_, stats) = try_semisort_with_stats(&records, &cfg).unwrap();
@@ -126,7 +138,7 @@ fn no_retries_on_any_paper_distribution() {
 /// show up here immediately.
 #[test]
 fn work_is_stable_across_distributions() {
-    let cfg = SemisortConfig::default();
+    let cfg = paper_cfg();
     let mut work = Vec::new();
     for pd in paper_distributions() {
         let records = generate(pd.dist, N, 8);

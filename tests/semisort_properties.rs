@@ -57,8 +57,10 @@ proptest! {
         probe_linear in any::<bool>(),
         algo_idx in 0usize..3,
     ) {
+        // Probing is RandomCas's; name it so both probe strategies run.
         let cfg = SemisortConfig {
             seq_threshold: 32,
+            scatter: ScatterConfig { strategy: ScatterStrategy::RandomCas, ..ScatterConfig::default() },
             probe_strategy: if probe_linear { ProbeStrategy::Linear } else { ProbeStrategy::Random },
             local_sort_algo: [LocalSortAlgo::StdUnstable, LocalSortAlgo::StdStable, LocalSortAlgo::Counting][algo_idx],
             ..Default::default()

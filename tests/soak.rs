@@ -37,7 +37,7 @@ fn soak_large_single_run() {
 #[test]
 #[ignore = "soak: full distribution × arrangement × config grid"]
 fn soak_configuration_grid() {
-    use semisort::{LocalSortAlgo, ProbeStrategy};
+    use semisort::{LocalSortAlgo, ProbeStrategy, ScatterConfig, ScatterStrategy};
     let dists = paper_distributions();
     for pd in dists.iter().step_by(3) {
         let base = generate(pd.dist, 100_000, 3);
@@ -50,7 +50,12 @@ fn soak_configuration_grid() {
                     LocalSortAlgo::StdStable,
                     LocalSortAlgo::Counting,
                 ] {
+                    // Probing is RandomCas's; name it so both run.
                     let cfg = SemisortConfig {
+                        scatter: ScatterConfig {
+                            strategy: ScatterStrategy::RandomCas,
+                            ..ScatterConfig::default()
+                        },
                         probe_strategy: probe,
                         local_sort_algo: algo,
                         ..Default::default()
